@@ -61,55 +61,48 @@ class _UnionFind:
         return list(out.values())
 
 
+def tagged_quotient(left, right, glue):
+    """Quotient of the tagged disjoint union of ``left`` and ``right`` by the
+    pairs ``glue`` of (left member, right member).
+
+    Returns ``(left_name, right_name)``, which map each member of either side
+    to its class name: the least of the class's ``L:x`` / ``R:y`` tags.
+    """
+    uf = _UnionFind()
+    for x in left:
+        uf.add(("L", x))
+    for y in right:
+        uf.add(("R", y))
+    for x, y in glue:
+        uf.union(("L", x), ("R", y))
+    names = {"L": {}, "R": {}}
+    for cls in uf.classes():
+        name = min("%s:%s" % tagged for tagged in cls)
+        for tag, x in cls:
+            names[tag][x] = name
+    return names["L"], names["R"]
+
+
 def pushout(m: GraphMorphism, r: GraphMorphism) -> PushoutResult:
     """Pushout of the span B <-m- C -r-> A in the category of finite graphs."""
     if m.dom != r.dom:
         raise MismatchError("pushout needs a span with a common domain")
     b, a, c = m.cod, r.cod, m.dom
-
-    uf_nodes, uf_edges = _UnionFind(), _UnionFind()
-    for n in b.nodes:
-        uf_nodes.add(("L", n))
-    for n in a.nodes:
-        uf_nodes.add(("R", n))
-    for e in b.edges:
-        uf_edges.add(("L", e))
-    for e in a.edges:
-        uf_edges.add(("R", e))
-    for n in c.nodes:
-        uf_nodes.union(("L", m.node_map[n]), ("R", r.node_map[n]))
-    for e in c.edges:
-        uf_edges.union(("L", m.edge_map[e]), ("R", r.edge_map[e]))
-
-    def class_name(members):
-        return min("%s:%s" % tagged for tagged in members)
-
-    node_name = {}
-    for cls in uf_nodes.classes():
-        name = class_name(cls)
-        for member in cls:
-            node_name[member] = name
-    edge_name = {}
-    edge_rep = {}
-    for cls in uf_edges.classes():
-        name = class_name(cls)
-        for member in cls:
-            edge_name[member] = name
-        edge_rep[name] = min(cls)
-
-    def endpoint(tagged_edge, which):
-        tag, e = tagged_edge
-        g = b if tag == "L" else a
-        return node_name[(tag, (g.src if which == "src" else g.tgt)[e])]
-
-    d = Graph(
-        set(node_name.values()), set(edge_name.values()),
-        {name: endpoint(rep, "src") for name, rep in edge_rep.items()},
-        {name: endpoint(rep, "tgt") for name, rep in edge_rep.items()})
-    left = GraphMorphism(b, d, {n: node_name[("L", n)] for n in b.nodes},
-                         {e: edge_name[("L", e)] for e in b.edges})
-    right = GraphMorphism(a, d, {n: node_name[("R", n)] for n in a.nodes},
-                          {e: edge_name[("R", e)] for e in a.edges})
+    nodes_b, nodes_a = tagged_quotient(
+        b.nodes, a.nodes, ((m.node_map[n], r.node_map[n]) for n in c.nodes))
+    edges_b, edges_a = tagged_quotient(
+        b.edges, a.edges, ((m.edge_map[e], r.edge_map[e]) for e in c.edges))
+    # every member of an edge class has its endpoints in the same node classes
+    src, tgt = {}, {}
+    for g, edge_names, node_names in ((b, edges_b, nodes_b),
+                                      (a, edges_a, nodes_a)):
+        for e, name in edge_names.items():
+            src[name] = node_names[g.src[e]]
+            tgt[name] = node_names[g.tgt[e]]
+    d = Graph(set(nodes_b.values()) | set(nodes_a.values()), set(src),
+              src, tgt)
+    left = GraphMorphism(b, d, nodes_b, edges_b)
+    right = GraphMorphism(a, d, nodes_a, edges_a)
     return PushoutResult(d, left, right)
 
 

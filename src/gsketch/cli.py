@@ -14,13 +14,14 @@ from .category import initial_morphism
 from .conditions import (Constraint, Forall, check_constraint,
                          violating_extensions)
 from .deduction import (CertificationError, ConstrainedSketch, RuleShapeError,
-                        conj_elim, conj_intro, find_matches, modus_ponens,
+                        conj_elim, conj_intro, modus_ponens,
                         repair_to_fixpoint, skolemize, statement_to_constraint,
                         universal_elim)
-from .dsl import (Document, ParseError, ResolutionError, ValidationError,
-                  parse, parse_files, print_document)
+from .dsl import (Document, ParseError, Parser, ResolutionError,
+                  ValidationError, format_condition, parse_files,
+                  print_document)
 from .graphs import GraphMorphism, MismatchError, identity
-from .sketches import Sketch, SketchMorphism, Statement
+from .sketches import Sketch, SketchMorphism, sketch_pullback, sketch_pushout
 from .translation import translate_condition
 
 
@@ -136,7 +137,6 @@ def cmd_translate(doc: Document, args) -> int:
     if c.dom != cond.context:
         raise InputError("morphism %r does not start at the condition context"
                          % args.along)
-    from .dsl import format_condition
     print(format_condition(translate_condition(c, cond), doc), end="")
     return 0
 
@@ -164,7 +164,6 @@ def _span(doc: Document, names: List[str], cospan: bool):
 
 
 def cmd_pushout(doc: Document, args) -> int:
-    from .sketches import sketch_pushout
     m, r = _span(doc, args.span, cospan=False)
     apex = _sketch_for_graph(doc, m.dom, "shared domain")
     left = SketchMorphism(apex, _sketch_for_graph(doc, m.cod, "codomain"), m)
@@ -180,7 +179,6 @@ def cmd_pushout(doc: Document, args) -> int:
 
 
 def cmd_pullback(doc: Document, args) -> int:
-    from .sketches import sketch_pullback
     m, r = _span(doc, args.cospan, cospan=True)
     base = _sketch_for_graph(doc, m.cod, "shared codomain")
     left = SketchMorphism(_sketch_for_graph(doc, m.dom, "domain"), base, m)
@@ -221,71 +219,70 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
             state = state.with_constraint(k)
         store[name] = k
 
+    def result_name(p):
+        """Parse the closing ``as NAME`` of a command line."""
+        p.expect("as")
+        name = p.expect_name()
+        if p.peek().kind != "eof":
+            p.error("found %r" % p.peek().value, ["end of line"])
+        return name
+
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
         try:
-            if "as" not in words:
-                raise InputError("missing 'as NAME'")
-            split_at = len(words) - 1 - words[::-1].index("as")
-            head, new_name = words[:split_at], words[split_at + 1]
-            op = head[0]
+            p = Parser(raw, doc)
+            if p.peek().kind == "eof":
+                continue
+            op = p.expect_name()
             if op == "assume":
-                cond = doc.conditions[head[1]]
+                cond = doc.conditions[p.expect_name()]
+                anchor_name = p.expect_name()
                 anchor = (initial_morphism(state.sketch.context)
-                          if head[2] == "initial" else doc.morphisms[head[2]])
-                bind(new_name, Constraint(cond, anchor))
+                          if anchor_name == "initial"
+                          else doc.morphisms[anchor_name])
+                bind(result_name(p), Constraint(cond, anchor))
             elif op == "elim":
-                assert head[2] == "via"
-                bind(new_name, universal_elim(constraint(head[1]),
-                                              doc.morphisms[head[3]]))
+                k = constraint(p.expect_name())
+                p.expect("via")
+                t = doc.morphisms[p.expect_name()]
+                bind(result_name(p), universal_elim(k, t))
             elif op == "mp":
-                assert head[2] == "with"
-                bind(new_name, modus_ponens(constraint(head[1]),
-                                            constraint(head[3])))
+                k = constraint(p.expect_name())
+                p.expect("with")
+                guard = constraint(p.expect_name())
+                bind(result_name(p), modus_ponens(k, guard))
             elif op == "skolem":
+                k = constraint(p.expect_name())
+                new_name = result_name(p)
                 # the working sketch changes; earlier certifications stay in
                 # the store but concern the pre-skolemization sketch
-                h, k, _ = skolemize(constraint(head[1]), state.sketch)
+                h, new, _ = skolemize(k, state.sketch)
                 state = ConstrainedSketch(h)
-                bind(new_name, k)
+                bind(new_name, new)
             elif op == "intro":
-                bind(new_name, conj_intro([constraint(n) for n in head[1:]]))
+                parts = [constraint(p.expect_name())]
+                while not p.at("as"):
+                    parts.append(constraint(p.expect_name()))
+                bind(result_name(p), conj_intro(parts))
             elif op == "split":
-                for i, part in enumerate(conj_elim(constraint(head[1])),
-                                         start=1):
-                    bind("%s_%d" % (new_name, i), part)
-                continue
+                k = constraint(p.expect_name())
+                prefix = result_name(p)
+                for i, part in enumerate(conj_elim(k), start=1):
+                    bind("%s_%d" % (prefix, i), part)
             elif op == "inst":
-                idx = line.index("{")
-                end = line.index("}", idx)
-                pairs = {}
-                for chunk in line[idx + 1:end].split(","):
-                    a, b = (part.strip() for part in chunk.split("->"))
-                    pairs[a] = b
-                pred = doc.predicate(head[1])
-                rest = line[end + 1:].split()
-                assert rest[0] == "def"
-                definition = doc.conditions[rest[1]]
-                from .graphs import morphism_of
-                nodes = {k: v for k, v in pairs.items() if k in pred.arity.nodes}
-                edges = {k: v for k, v in pairs.items() if k in pred.arity.edges}
-                binding = morphism_of(pred.arity, state.sketch.context,
-                                      nodes, edges)
-                s = Statement(pred, binding)
+                s = p.parse_statement(state.sketch.context)
+                p.expect("def")
+                definition = doc.conditions[p.expect_name()]
                 if s not in state.sketch.statements:
                     raise InputError("statement is not in the sketch")
-                bind(new_name, statement_to_constraint(
-                    s, definition, identity(pred.arity)))
+                bind(result_name(p), statement_to_constraint(
+                    s, definition, identity(s.predicate.arity)))
             else:
                 raise InputError("unknown deduction command %r" % op)
-        except (KeyError, IndexError, AssertionError) as exc:
+        except (KeyError, ParseError) as exc:
             raise InputError("line %d: malformed command (%s)"
-                             % (lineno, line)) from exc
-        except (InputError, MismatchError, RuleShapeError,
-                CertificationError) as exc:
+                             % (lineno, raw.split("#", 1)[0].strip())) from exc
+        except (InputError, MismatchError, RuleShapeError, CertificationError,
+                ResolutionError, ValidationError) as exc:
             raise InputError("line %d: %s" % (lineno, exc)) from exc
     return store
 
@@ -295,7 +292,6 @@ def cmd_deduce(doc: Document, args) -> int:
     with open(args.script, encoding="utf-8") as handle:
         lines = handle.readlines()
     store = _run_deduce_script(doc, sketch, lines)
-    from .dsl import format_condition
     for name, k in store.items():
         print("%s: anchor %s" % (name, _morphism_table(k.anchor)))
         print(format_condition(k.condition, doc), end="")

@@ -4,10 +4,20 @@ The AST follows the guarded-quantifier syntax: a quantifier carries a guard
 over its own context K, a shift morphism a: K -> M, and a body over M.  The
 semantics is classical and two-valued; quantifiers range over the extensions
 r: M -> G with a;r = t.  Empty conjunction is true, empty disjunction false.
+
+Every node speaks one traversal protocol.  ``subconditions()`` returns the
+direct children in a fixed order: ``()`` for the leaves ``Stmt``, ``Top`` and
+``Bottom``, ``children`` for the junctions ``And``/``Or``, ``(child,)`` for
+``Not`` and ``(guard, body)`` for the quantifiers ``Exists``/``Forall``.
+``rebuild(context, subs)`` returns the same kind of node over ``context``
+with ``subs`` in place of the children; a quantifier keeps its shift and a
+statement leaf its statement.  Walkers that treat the connectives uniformly
+(well-formedness, translation, unfolding, printing) recurse only through
+these two methods and special-case statements and quantifiers alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .category import initial_morphism
@@ -31,6 +41,15 @@ class Condition:
     """Base class; every condition node knows its context graph."""
     context: Graph
 
+    def subconditions(self) -> Tuple["Condition", ...]:
+        """The direct subconditions, in a fixed order; leaves have none."""
+        return ()
+
+    def rebuild(self, context: Graph, subs) -> "Condition":
+        """The same kind of node over ``context``, with ``subs`` in place of
+        its subconditions."""
+        return replace(self, context=context)
+
 
 @dataclass(frozen=True)
 class Stmt(Condition):
@@ -48,32 +67,58 @@ class Bottom(Condition):
 
 
 @dataclass(frozen=True)
-class And(Condition):
+class Junction(Condition):
+    """Base class of the n-ary connectives."""
     children: Tuple[Condition, ...]
 
+    def subconditions(self):
+        return self.children
 
-@dataclass(frozen=True)
-class Or(Condition):
-    children: Tuple[Condition, ...]
+    def rebuild(self, context, subs):
+        return type(self)(context, tuple(subs))
+
+
+class And(Junction):
+    pass
+
+
+class Or(Junction):
+    pass
 
 
 @dataclass(frozen=True)
 class Not(Condition):
     child: Condition
 
+    def subconditions(self):
+        return (self.child,)
+
+    def rebuild(self, context, subs):
+        (child,) = subs
+        return Not(context, child)
+
 
 @dataclass(frozen=True)
-class Exists(Condition):
+class Quantifier(Condition):
+    """Base class of the guarded quantifiers along a shift K -> M."""
     guard: Condition
     shift: GraphMorphism  # K -> M
     body: Condition
 
+    def subconditions(self):
+        return (self.guard, self.body)
 
-@dataclass(frozen=True)
-class Forall(Condition):
-    guard: Condition
-    shift: GraphMorphism
-    body: Condition
+    def rebuild(self, context, subs):
+        guard, body = subs
+        return type(self)(context, guard, self.shift, body)
+
+
+class Exists(Quantifier):
+    pass
+
+
+class Forall(Quantifier):
+    pass
 
 
 def stmt(s: Statement) -> Stmt:
@@ -109,33 +154,32 @@ def unguarded_forall(shift: GraphMorphism, body: Condition) -> Condition:
 
 
 def well_formed(c: Condition) -> list:
-    """Context-discipline violations throughout the tree; empty iff well formed."""
+    """Context-discipline violations throughout the tree; empty iff well formed.
+
+    Paths index into ``subconditions()``: ``root[1][0]`` is the first
+    subcondition of the second subcondition of the root.
+    """
     violations = []
 
     def walk(node, path):
         if isinstance(node, Stmt):
             if node.statement.context != node.context:
-                violations.append("%s: statement bound outside its context" % path)
-        elif isinstance(node, (And, Or)):
-            for i, child in enumerate(node.children):
-                if child.context != node.context:
-                    violations.append("%s[%d]: context differs from parent"
-                                      % (path, i))
-                walk(child, "%s[%d]" % (path, i))
-        elif isinstance(node, Not):
-            if node.child.context != node.context:
-                violations.append("%s: negated child has a different context" % path)
-            walk(node.child, path + ".child")
-        elif isinstance(node, (Exists, Forall)):
+                violations.append("%s: statement bound outside its context"
+                                  % path)
+            return
+        subs = node.subconditions()
+        expected = [(node.context, "parent")] * len(subs)
+        if isinstance(node, Quantifier):
             if node.shift.dom != node.context:
                 violations.append("%s: shift domain differs from context" % path)
-            if node.guard.context != node.context:
-                violations.append("%s: guard context differs from context" % path)
-            if node.body.context != node.shift.cod:
-                violations.append("%s: body context differs from shift codomain"
-                                  % path)
-            walk(node.guard, path + ".guard")
-            walk(node.body, path + ".body")
+            expected[1] = (node.shift.cod, "shift codomain")
+        for i, sub in enumerate(subs):
+            sub_path = "%s[%d]" % (path, i)
+            context, name = expected[i]
+            if sub.context != context:
+                violations.append("%s: context differs from %s"
+                                  % (sub_path, name))
+            walk(sub, sub_path)
 
     walk(c, "root")
     return violations
@@ -304,8 +348,6 @@ def conditions_equal_modulo_renaming(a: Condition, b: Condition) -> bool:
         # corr: GraphMorphism a.context -> b.context (an isomorphism)
         if type(na) is not type(nb):
             return False
-        if isinstance(na, (Top, Bottom)):
-            return True
         if isinstance(na, Stmt):
             sa, sb = na.statement, nb.statement
             if sa.predicate.name != sb.predicate.name:
@@ -313,14 +355,7 @@ def conditions_equal_modulo_renaming(a: Condition, b: Condition) -> bool:
             if sa.predicate.arity != sb.predicate.arity:
                 return False
             return (compose(sa.binding, corr) == sb.binding)
-        if isinstance(na, (And, Or)):
-            if len(na.children) != len(nb.children):
-                return False
-            return all(walk(ca, cb, corr)
-                       for ca, cb in zip(na.children, nb.children))
-        if isinstance(na, Not):
-            return walk(na.child, nb.child, corr)
-        if isinstance(na, (Exists, Forall)):
+        if isinstance(na, Quantifier):
             if not walk(na.guard, nb.guard, corr):
                 return False
             ma, mb = na.shift.cod, nb.shift.cod
@@ -339,7 +374,9 @@ def conditions_equal_modulo_renaming(a: Condition, b: Condition) -> bool:
                 if walk(na.body, nb.body, corr2):
                     return True
             return False
-        raise TypeError("unknown condition node %r" % type(na).__name__)
+        subs_a, subs_b = na.subconditions(), nb.subconditions()
+        return len(subs_a) == len(subs_b) and all(
+            walk(x, y, corr) for x, y in zip(subs_a, subs_b))
 
     return any(walk(a, b, corr)
                for corr in isos_extending(a.context, b.context, {}, {}))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from .category import initial_morphism
-from .conditions import (And, Condition, Exists, Forall, Stmt, Top, conj,
-                         implication, statements_conj, stmt, unguarded_exists,
+from .conditions import (Condition, Forall, Stmt, Top, conj, implication,
+                         statements_conj, stmt, unguarded_exists,
                          unguarded_forall)
 from .graphs import Graph, GraphMorphism, graph_of, identity, morphism_of
 from .sketches import Footprint, PredicateSymbol, Sketch, Statement
@@ -276,26 +276,13 @@ def unfold(cond: Condition, defs: Mapping[PredicateSymbol, Condition]) -> Condit
         if d.context != p.arity:
             raise ValueError("definition for %r must live over its arity" % p.name)
 
-    from .conditions import Bottom, Not, Or
-
     def walk(node):
         if isinstance(node, Stmt):
             d = defs.get(node.statement.predicate)
             if d is None:
                 return node
             return translate_condition(node.statement.binding, d)
-        if isinstance(node, (Top, Bottom)):
-            return node
-        if isinstance(node, And):
-            return And(node.context, tuple(walk(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(node.context, tuple(walk(c) for c in node.children))
-        if isinstance(node, Not):
-            return Not(node.context, walk(node.child))
-        if isinstance(node, (Exists, Forall)):
-            cls = type(node)
-            return cls(node.context, walk(node.guard), node.shift,
-                       walk(node.body))
-        raise TypeError("unknown condition node %r" % type(node).__name__)
+        return node.rebuild(node.context,
+                            [walk(x) for x in node.subconditions()])
 
     return walk(cond)

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 from .conditions import (And, Condition, Constraint, Exists, Forall, Not,
-                         Stmt, Top, check_constraint, conj, statements_conj,
-                         unguarded_exists)
+                         Stmt, Top, check_constraint, conj, satisfies,
+                         statements_conj, unguarded_exists)
 from .graphs import (GraphMorphism, MismatchError, compose,
                      enumerate_morphisms, identity)
 from .sketches import (Sketch, SketchMorphism, Statement, sketch_pushout,
@@ -108,27 +108,29 @@ def rule_from_condition(cond: Condition) -> Rule:
     return Rule.build(lhs, body.shift, conclusion)
 
 
+def _is_match(t: GraphMorphism, g: Sketch, premise: Condition,
+              nac: Condition) -> bool:
+    return satisfies(t, g, premise).holds and satisfies(t, g, nac).holds
+
+
 def find_matches(rule: Rule, g: Sketch) -> list:
     """All matches of the rule in canonical order: context morphisms t: L -> G
     satisfying the premise statements and the negative application condition.
     """
-    premise = rule.premise_condition()
-    nac = rule.nac_condition()
-    matches = []
-    for t in enumerate_morphisms(rule.lhs.context, g.context):
-        from .conditions import satisfies
-        if satisfies(t, g, premise).holds and satisfies(t, g, nac).holds:
-            matches.append(t)
-    return matches
+    premise, nac = rule.premise_condition(), rule.nac_condition()
+    return [t for t in enumerate_morphisms(rule.lhs.context, g.context)
+            if _is_match(t, g, premise, nac)]
 
 
 def apply_rule(rule: Rule, match: GraphMorphism, g: Sketch):
     """Apply the rule at a match by a sketch pushout.
 
-    Returns ``(H, a_star: G -> H, t_star: R -> H)``.  The match must come
-    from :func:`find_matches`.
+    Returns ``(H, a_star: G -> H, t_star: R -> H)``.  The match must be one
+    that :func:`find_matches` would return.
     """
-    if match not in find_matches(rule, g):
+    if (match.dom != rule.lhs.context or match.cod != g.context
+            or not _is_match(match, g, rule.premise_condition(),
+                             rule.nac_condition())):
         raise MismatchError("morphism is not a valid match for this rule")
     t = SketchMorphism(rule.lhs, g, match)
     h, t_star, a_star = sketch_pushout(rule.as_sketch_morphism(), t)

@@ -13,12 +13,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .category import initial_morphism
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
-                         Not, Or, Stmt, Top, implication, stmt, well_formed)
+                         Junction, Not, Or, Quantifier, Stmt, Top, implication,
+                         stmt, well_formed)
 from .deduction import Rule
 from .graphs import (Graph, GraphMorphism, MismatchError, graph_of, identity,
                      morphism_of, validate_graph)
 from .sketches import (Footprint, PredicateSymbol, Sketch, SketchMorphism,
-                       Statement, statement_key)
+                       Statement, statement_key, translate_statement)
 
 
 class ParseError(ValueError):
@@ -110,6 +111,9 @@ KEYWORDS = {"graph", "footprint", "pred", "arity", "morphism", "nodes",
 
 _SYMBOLS = ("->", "{", "}", "(", ")", ":", ";", ",", ".", "=")
 
+_CONNECTIVES = {"and": And, "or": Or, "exists": Exists, "forall": Forall}
+_KEYWORD_OF = {cls: keyword for keyword, cls in _CONNECTIVES.items()}
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -171,7 +175,12 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-class _Parser:
+class Parser:
+    """Recursive-descent parser over the DSL tokens; one method per construct.
+
+    Declarations are entered into ``doc``, which also resolves names.
+    """
+
     def __init__(self, text: str, doc: Optional[Document] = None):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -320,19 +329,23 @@ class _Parser:
         self.expect("}")
         self._declare("footprints", name, Footprint(preds))
 
-    def parse_assignments(self) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
-        """Parse ``{ x -> y, ... }`` into an ordered association list."""
-        self.expect("{")
+    def parse_pairs(self) -> List[Tuple[str, str]]:
+        """Parse ``x -> y, ...`` up to the first token that is not a name."""
         pairs: List[Tuple[str, str]] = []
-        while not self.at("}"):
-            a = self.expect_name()
+        while self.peek().kind in ("ident", "quoted"):
+            a = self.next().value
             self.expect("->")
-            b = self.expect_name()
-            pairs.append((a, b))
+            pairs.append((a, self.expect_name()))
             if self.at(","):
                 self.next()
+        return pairs
+
+    def parse_assignments(self) -> List[Tuple[str, str]]:
+        """Parse ``{ x -> y, ... }`` into an ordered association list."""
+        self.expect("{")
+        pairs = self.parse_pairs()
         self.expect("}")
-        return {}, pairs
+        return pairs
 
     def _split_assignments(self, pairs, dom: Graph, what: str):
         nodes, edges = {}, {}
@@ -355,44 +368,29 @@ class _Parser:
         self.expect("->")
         cod = self.graph_ref()
         self.expect("{")
-        nodes, edges = {}, {}
+        sections = {"nodes": {}, "edges": {}}
         while not self.at("}"):
-            if self.at("nodes"):
+            tok = self.peek()
+            if tok.kind != "ident" or tok.value not in sections:
+                self.error("found %r" % tok.value, ["'nodes'", "'edges'"])
+            self.next()
+            sections[tok.value].update(self.parse_pairs())
+            if self.at(";"):
                 self.next()
-                while self.peek().kind == "ident":
-                    a = self.next().value
-                    self.expect("->")
-                    nodes[a] = self.expect_name()
-                    if self.at(","):
-                        self.next()
-                if self.at(";"):
-                    self.next()
-            elif self.at("edges"):
-                self.next()
-                while self.peek().kind == "ident":
-                    a = self.next().value
-                    self.expect("->")
-                    edges[a] = self.expect_name()
-                    if self.at(","):
-                        self.next()
-                if self.at(";"):
-                    self.next()
-            else:
-                self.error("found %r" % self.peek().value, ["'nodes'", "'edges'"])
         self.expect("}")
         try:
-            m = morphism_of(dom, cod, nodes, edges)
+            m = morphism_of(dom, cod, sections["nodes"], sections["edges"])
         except MismatchError as exc:
             raise ValidationError("morphism %r: %s" % (name, exc)) from exc
         self._declare("morphisms", name, m)
 
     def parse_statement(self, context: Graph) -> Statement:
-        self.expect("stmt")
+        """Parse ``PRED via { x -> y, ... }`` into a statement over context."""
         pname = self.expect_name()
         pred = self.doc.predicate(pname)
         self.expect("via")
-        _, pairs = self.parse_assignments()
-        nodes, edges = self._split_assignments(pairs, pred.arity,
+        nodes, edges = self._split_assignments(self.parse_assignments(),
+                                               pred.arity,
                                                "statement %r" % pname)
         try:
             binding = morphism_of(pred.arity, context, nodes, edges)
@@ -412,6 +410,7 @@ class _Parser:
         self.expect("{")
         statements = []
         while not self.at("}"):
+            self.expect("stmt")
             statements.append(self.parse_statement(context))
             if self.at(";"):
                 self.next()
@@ -469,6 +468,7 @@ class _Parser:
             self.next()
             return Bottom(context)
         if tok.value == "stmt":
+            self.next()
             return stmt(self.parse_statement(context))
         if tok.value in ("and", "or"):
             self.next()
@@ -479,8 +479,7 @@ class _Parser:
                 if self.at(","):
                     self.next()
             self.expect(")")
-            cls = And if tok.value == "and" else Or
-            return cls(context, tuple(children))
+            return _CONNECTIVES[tok.value](context, tuple(children))
         if tok.value == "not":
             self.next()
             return Not(context, self.parse_expr(context))
@@ -503,8 +502,7 @@ class _Parser:
             self.expect(")")
             self.expect(".")
             body = self.parse_expr(shift.cod)
-            cls = Exists if tok.value == "exists" else Forall
-            return cls(context, guard, shift, body)
+            return _CONNECTIVES[tok.value](context, guard, shift, body)
         self.error("found %r" % (tok.value or "end of input"),
                    ["a condition expression"])
 
@@ -560,7 +558,6 @@ class _Parser:
             SketchMorphism(lhs, rhs, m)
         except MismatchError as exc:
             raise ValidationError("rule %r: %s" % (name, exc)) from exc
-        from .sketches import translate_statement
         image = {translate_statement(m, s) for s in lhs.statements}
         self._declare("rules", name,
                       Rule(lhs, rhs, m, frozenset(rhs.statements - image)))
@@ -568,7 +565,7 @@ class _Parser:
 
 def parse(text: str, doc: Optional[Document] = None) -> Document:
     """Parse a document; an existing document provides names to extend."""
-    return _Parser(text, doc).parse_document()
+    return Parser(text, doc).parse_document()
 
 
 def parse_files(paths) -> Document:
@@ -702,22 +699,21 @@ class _Printer:
             return "false"
         if isinstance(c, Stmt):
             return self.format_statement(c.statement)
-        if isinstance(c, And):
-            return "and(%s)" % ", ".join(self.format_expr(x) for x in c.children)
-        if isinstance(c, Or):
-            return "or(%s)" % ", ".join(self.format_expr(x) for x in c.children)
+        if isinstance(c, Junction):
+            children = ", ".join(self.format_expr(x) for x in c.children)
+            return "%s(%s)" % (_KEYWORD_OF[type(c)], children)
         if isinstance(c, Not):
             return "not %s" % self.format_expr(c.child)
         if isinstance(c, Exists) and c.shift == identity(c.context) \
                 and not isinstance(c.guard, Top):
             return "implies(%s, %s)" % (self.format_expr(c.guard),
                                         self.format_expr(c.body))
-        if isinstance(c, (Exists, Forall)):
-            kw = "exists" if isinstance(c, Exists) else "forall"
+        if isinstance(c, Quantifier):
             guard = ""
             if not isinstance(c.guard, Top):
                 guard = " given %s" % self.format_expr(c.guard)
-            return "%s%s (%s) . %s" % (kw, guard, self.format_shift(c.shift),
+            return "%s%s (%s) . %s" % (_KEYWORD_OF[type(c)], guard,
+                                       self.format_shift(c.shift),
                                        self.format_expr(c.body))
         raise TypeError("unknown condition node %r" % type(c).__name__)
 
@@ -807,14 +803,8 @@ def format_condition(cond: Condition, doc: Optional[Document] = None) -> str:
     def collect(node):
         if isinstance(node, Stmt):
             preds.add(node.statement.predicate)
-        elif isinstance(node, (And, Or)):
-            for child in node.children:
-                collect(child)
-        elif isinstance(node, Not):
-            collect(node.child)
-        elif isinstance(node, (Exists, Forall)):
-            collect(node.guard)
-            collect(node.body)
+        for sub in node.subconditions():
+            collect(sub)
 
     collect(cond)
     if preds:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .category import pullback, pushout
+from .category import pullback, pushout, tagged_quotient
 from .graphs import (Graph, GraphMorphism, MismatchError, compose,
                      enumerate_morphisms, validate_graph)
 
@@ -249,29 +249,16 @@ def multi_pushout(m: MultiSketchMorphism, r: MultiSketchMorphism):
     po = pushout(m.morphism, r.morphism)
 
     # identifier-set pushout: tagged disjoint union modulo the span images
-    from .category import _UnionFind
-    uf = _UnionFind()
-    for i in m.cod.ids:
-        uf.add(("L", i))
-    for i in r.cod.ids:
-        uf.add(("R", i))
-    for i in m.dom.ids:
-        uf.union(("L", m.id_map[i]), ("R", r.id_map[i]))
-    name_of = {}
-    for cls in uf.classes():
-        name = min("%s:%s" % tagged for tagged in cls)
-        for member in cls:
-            name_of[member] = name
+    ids_l, ids_r = tagged_quotient(
+        m.cod.ids, r.cod.ids, ((m.id_map[i], r.id_map[i]) for i in m.dom.ids))
     stm = {}
     for i in m.cod.ids:
-        stm[name_of[("L", i)]] = translate_statement(po.left, m.cod.stm[i])
+        stm[ids_l[i]] = translate_statement(po.left, m.cod.stm[i])
     for i in r.cod.ids:
-        stm[name_of[("R", i)]] = translate_statement(po.right, r.cod.stm[i])
+        stm[ids_r[i]] = translate_statement(po.right, r.cod.stm[i])
     d = MultiSketch(po.object, stm)
-    left = MultiSketchMorphism(m.cod, d, po.left,
-                               {i: name_of[("L", i)] for i in m.cod.ids})
-    right = MultiSketchMorphism(r.cod, d, po.right,
-                                {i: name_of[("R", i)] for i in r.cod.ids})
+    left = MultiSketchMorphism(m.cod, d, po.left, ids_l)
+    right = MultiSketchMorphism(r.cod, d, po.right, ids_r)
     return d, left, right
 
 

@@ -10,8 +10,7 @@ readable and makes identity translation structurally trivial.
 from __future__ import annotations
 
 from .category import pushout
-from .conditions import (And, Bottom, Condition, Exists, Forall, Not, Or,
-                         Stmt, Top, satisfies)
+from .conditions import Condition, Quantifier, Stmt, satisfies
 from .graphs import (Graph, GraphMorphism, MismatchError, compose,
                      enumerate_morphisms, identity, invert, is_isomorphism)
 from .sketches import translate_statement
@@ -37,23 +36,12 @@ def translate_condition(c: GraphMorphism, cond: Condition) -> Condition:
     h = c.cod
     if isinstance(cond, Stmt):
         return Stmt(h, translate_statement(c, cond.statement))
-    if isinstance(cond, Top):
-        return Top(h)
-    if isinstance(cond, Bottom):
-        return Bottom(h)
-    if isinstance(cond, And):
-        return And(h, tuple(translate_condition(c, x) for x in cond.children))
-    if isinstance(cond, Or):
-        return Or(h, tuple(translate_condition(c, x) for x in cond.children))
-    if isinstance(cond, Not):
-        return Not(h, translate_condition(c, cond.child))
-    if isinstance(cond, (Exists, Forall)):
+    if isinstance(cond, Quantifier):
         a_star, c_star = chosen_pushout(c, cond.shift)
-        guard = translate_condition(c, cond.guard)
-        body = translate_condition(c_star, cond.body)
-        cls = Exists if isinstance(cond, Exists) else Forall
-        return cls(h, guard, a_star, body)
-    raise TypeError("unknown condition node %r" % type(cond).__name__)
+        return type(cond)(h, translate_condition(c, cond.guard), a_star,
+                          translate_condition(c_star, cond.body))
+    return cond.rebuild(h, [translate_condition(c, x)
+                            for x in cond.subconditions()])
 
 
 def shift_equivalence_oracle(c: GraphMorphism, cond: Condition,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,8 @@ from gsketch.cli import main
 from gsketch.dsl import parse
 
 from conftest import FIXTURE_DIR
+
+SRC_DIR = FIXTURE_DIR.parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +155,42 @@ class TestDeduce:
                      "--script", str(script)])
         capsys.readouterr()
         assert code == 2
+
+    def test_inst_accepts_quoted_names(self, corpus, tmp_path, capsys):
+        script = tmp_path / "script.txt"
+        script.write_text('inst monic via { "e" -> "b" } def phi7 as mono_b\n')
+        code = main(["deduce", *corpus, "--sketch", "Gprime",
+                     "--script", str(script)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "mono_b: anchor {v1 -> 2, v2 -> 3, e -> b}" in out
+
+    @pytest.mark.parametrize("line", [
+        "elim unique WRONG t3 as x",
+        "elim unique via t3 as x trailing",
+        "elim unique via t3",
+        "intro as x",
+        "inst monic via { zz -> b } def phi7 as x",
+    ])
+    def test_malformed_line_exits_two_with_its_number(self, corpus, tmp_path,
+                                                      capsys, line):
+        script = tmp_path / "script.txt"
+        script.write_text("assume phi3 initial as unique\n" + line + "\n")
+        code = main(["deduce", *corpus, "--sketch", "Gprime",
+                     "--script", str(script)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    def test_malformed_line_exits_two_under_optimize(self, corpus, tmp_path):
+        script = tmp_path / "script.txt"
+        script.write_text("assume phi3 initial as unique\n"
+                          "elim unique WRONG t3 as x\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gsketch.cli", "deduce", *corpus,
+             "--sketch", "Gprime", "--script", str(script)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "line 2" in proc.stderr

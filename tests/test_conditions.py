@@ -9,7 +9,8 @@ from gsketch.conditions import (And, Bottom, Constraint, EvaluationBudgetExceede
                                 statements_conj, stmt, uc, unguarded_exists,
                                 unguarded_forall, violating_extensions,
                                 well_formed)
-from gsketch.ct import COMP, MONIC, comp_stmt, monic_stmt
+from gsketch.ct import (COMP, MONIC, colimit_condition, comp_stmt,
+                        limit_condition, monic_stmt)
 from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
                             morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
@@ -293,3 +294,76 @@ class TestEqualModuloRenaming:
     def test_different_shapes_differ(self, fx):
         assert not conditions_equal_modulo_renaming(fx.conditions["phi5"],
                                                     fx.conditions["phi6"])
+
+
+def _nodes(c):
+    yield c
+    for sub in c.subconditions():
+        yield from _nodes(sub)
+
+
+class TestTraversalProtocol:
+    SHAPES = [graph_of(), graph_of("x"), graph_of("x y"),
+              graph_of("", "k:x->y"), graph_of("", "k:x->y l:x->y"),
+              graph_of("", "k:x->y l:y->z")]
+
+    def _all_conditions(self, fx, doc):
+        yield from fx.conditions.values()
+        for shape in self.SHAPES:
+            yield limit_condition(shape)
+            yield colimit_condition(shape)
+        yield from doc.conditions.values()
+        g = fx.graph_g
+        yield Not(g, Or(g, (Bottom(g), stmt(fx.statements["psi4"]))))
+
+    def test_rebuild_from_own_parts_is_identity(self, fx, doc):
+        kinds = set()
+        for cond in self._all_conditions(fx, doc):
+            for n in _nodes(cond):
+                kinds.add(type(n).__name__)
+                assert n.rebuild(n.context, n.subconditions()) == n
+        assert kinds == {"Stmt", "Top", "Bottom", "And", "Or", "Not",
+                         "Exists", "Forall"}
+
+    def test_subconditions_of_each_kind(self, fx):
+        g = fx.graph_g
+        leaf = stmt(fx.statements["psi4"])
+        assert Top(g).subconditions() == ()
+        assert Bottom(g).subconditions() == ()
+        assert leaf.subconditions() == ()
+        assert Or(g, (leaf, Top(g))).subconditions() == (leaf, Top(g))
+        assert Not(g, leaf).subconditions() == (leaf,)
+        q = Forall(g, leaf, identity(g), Bottom(g))
+        assert q.subconditions() == (leaf, Bottom(g))
+        assert q.rebuild(g, (Top(g), Top(g))) == Forall(g, Top(g), identity(g),
+                                                        Top(g))
+
+    def test_renaming_tells_and_from_or(self, fx):
+        g = fx.graph_g
+        children = (stmt(fx.statements["psi1"]), stmt(fx.statements["psi4"]))
+        assert conditions_equal_modulo_renaming(And(g, children),
+                                                And(g, children))
+        assert not conditions_equal_modulo_renaming(And(g, children),
+                                                    Or(g, children))
+
+    def test_renaming_tells_exists_from_forall(self, fx):
+        phi1 = fx.conditions["phi1"]
+        twin = Forall(phi1.context, phi1.guard, phi1.shift, phi1.body)
+        assert conditions_equal_modulo_renaming(twin, twin)
+        assert not conditions_equal_modulo_renaming(phi1, twin)
+
+    def test_nested_violation_path(self, fx):
+        x = graph_of("x")
+        bad = Stmt(x, fx.statements["psi4"])
+        tree = And(x, (Top(x), Forall(x, Top(x), identity(x), Not(x, bad))))
+        assert well_formed(tree) == [
+            "root[1][1][0]: statement bound outside its context"]
+
+    def test_every_violation_is_reported(self, fx):
+        x, g = graph_of("x"), fx.graph_g
+        tree = And(x, (Exists(x, Top(g), identity(g), Not(x, Top(g))),))
+        assert well_formed(tree) == [
+            "root[0]: shift domain differs from context",
+            "root[0][0]: context differs from parent",
+            "root[0][1]: context differs from shift codomain",
+            "root[0][1][0]: context differs from parent"]

@@ -117,6 +117,24 @@ class TestApply:
         with pytest.raises(MismatchError):
             apply_rule(r, bad, fx.sketch_g)
 
+    def test_nac_blocked_match_rejected(self, fx):
+        r = rule6(fx)
+        match = find_matches(r, fx.sketch_g)[0]
+        h, a_star, _ = apply_rule(r, match, fx.sketch_g)
+        # the premise still holds at the carried-over match, but the
+        # conclusion is there now, so the negative application condition
+        # blocks it
+        carried = compose(match, a_star.morphism)
+        assert satisfies(carried, h, r.premise_condition()).holds
+        with pytest.raises(MismatchError):
+            apply_rule(r, carried, h)
+
+    def test_match_into_another_sketch_rejected(self, fx):
+        r = rule6(fx)
+        match = find_matches(r, fx.sketch_g)[0]
+        with pytest.raises(MismatchError):
+            apply_rule(r, match, fx.sketch_g_prime)
+
     def test_postconditions(self, fx):
         r = rule3(fx)
         match = find_matches(r, fx.sketch_g)[0]

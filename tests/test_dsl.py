@@ -147,6 +147,28 @@ class TestQuotedNames:
         text = print_document(out)
         assert parse(text).sketches["repaired"] == final
 
+    def test_morphism_between_pushout_graphs_round_trips(self):
+        from gsketch.category import pushout
+        from gsketch.graphs import morphism_of
+        c = graph_of("", "e:x->y")
+        b = graph_of("z", "e:x->y f:x->y")
+        a = graph_of("", "e:x->y g:y->y")
+        po = pushout(morphism_of(c, b, edges={"e": "e"}),
+                     morphism_of(c, a, edges={"e": "e"}))
+        assert "L:e" in po.object.edges and "L:z" in po.object.nodes
+        # glue the second pushout along the first one's left leg, so that
+        # the right leg runs between two graphs of tagged names
+        b2 = graph_of("w", "e:x->y f:x->y")
+        po2 = pushout(po.left, morphism_of(b, b2, nodes={"z": "w"},
+                                           edges={"e": "e", "f": "f"}))
+        doc = Document()
+        doc.graphs["D"] = po.object
+        doc.graphs["D2"] = po2.object
+        doc.morphisms["leg"] = po2.left
+        text = print_document(doc)
+        assert '"L:e" -> "L:L:e"' in text and '"L:z" -> "L:L:z"' in text
+        assert parse(text) == doc
+
     def test_unterminated_quote(self):
         with pytest.raises(ParseError, match="unterminated"):
             parse('graph G { nodes "x }')
