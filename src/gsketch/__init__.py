@@ -15,7 +15,7 @@ from .sketches import (Footprint, MultiSketch, MultiSketchMorphism,
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          Junction, Not, Or, Quantifier, Stmt, Top, Verdict,
                          check_constraint, conditions_equal_modulo_renaming,
-                         conj, disj, implication, is_closed, nuc, satisfies,
+                         conj, implication, is_closed, nuc, satisfies,
                          statements_conj, stmt, uc, unguarded_exists,
                          unguarded_forall, violating_extensions, well_formed)
 from .translation import (chosen_pushout, shift_equivalence_oracle,

@@ -235,10 +235,11 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
             op = p.expect_name()
             if op == "assume":
                 cond = doc.conditions[p.expect_name()]
-                anchor_name = p.expect_name()
-                anchor = (initial_morphism(state.sketch.context)
-                          if anchor_name == "initial"
-                          else doc.morphisms[anchor_name])
+                if p.at("initial"):
+                    p.next()
+                    anchor = initial_morphism(state.sketch.context)
+                else:
+                    anchor = doc.morphisms[p.expect_name()]
                 bind(result_name(p), Constraint(cond, anchor))
             elif op == "elim":
                 k = constraint(p.expect_name())

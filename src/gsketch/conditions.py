@@ -13,7 +13,8 @@ direct children in a fixed order: ``()`` for the leaves ``Stmt``, ``Top`` and
 with ``subs`` in place of the children; a quantifier keeps its shift and a
 statement leaf its statement.  Walkers that treat the connectives uniformly
 (well-formedness, translation, unfolding, printing) recurse only through
-these two methods and special-case statements and quantifiers alone.
+these two methods and special-case statements and quantifiers alone; the
+evaluator has one case per node family (``Junction``, ``Quantifier``).
 """
 from __future__ import annotations
 
@@ -129,10 +130,6 @@ def conj(context: Graph, children) -> Condition:
     return And(context, tuple(children))
 
 
-def disj(context: Graph, children) -> Condition:
-    return Or(context, tuple(children))
-
-
 def statements_conj(context: Graph, statements) -> Condition:
     """Canonically ordered conjunction of statement leaves."""
     return conj(context, (stmt(s) for s in sorted(statements, key=statement_key)))
@@ -231,12 +228,16 @@ def satisfies(t: GraphMorphism, g: Sketch, c: Condition, *,
 
     ``restrict_to_monos`` restricts quantifier extensions to monomorphisms.
     """
+    _validate(t, g, c)
+    return _eval(t, g, c, restrict_to_monos, _Budget(budget))
+
+
+def _validate(t, g, c):
     if t.dom != c.context or t.cod != g.context:
         raise MismatchError("anchor endpoints differ from condition/sketch contexts")
     problems = well_formed(c)
     if problems:
         raise IllFormedConditionError("; ".join(problems))
-    return _eval(t, g, c, restrict_to_monos, _Budget(budget))
 
 
 def _extensions(a, t, restrict):
@@ -254,36 +255,25 @@ def _eval(t, g, c, restrict, budget) -> Verdict:
         return Verdict(True)
     if isinstance(c, Bottom):
         return Verdict(False)
-    if isinstance(c, And):
+    if isinstance(c, Junction):
+        decisive = isinstance(c, Or)  # the child value that settles the node
         for child in c.children:
             v = _eval(t, g, child, restrict, budget)
-            if not v.holds:
-                return Verdict(False, inner=v)
-        return Verdict(True)
-    if isinstance(c, Or):
-        for child in c.children:
-            v = _eval(t, g, child, restrict, budget)
-            if v.holds:
-                return Verdict(True, inner=v)
-        return Verdict(False)
+            if v.holds == decisive:
+                return Verdict(decisive, inner=v)
+        return Verdict(not decisive)
     if isinstance(c, Not):
         return Verdict(not _eval(t, g, c.child, restrict, budget).holds)
-    if isinstance(c, Exists):
+    if isinstance(c, Quantifier):
         if not _eval(t, g, c.guard, restrict, budget).holds:
             return Verdict(True)
+        decisive = isinstance(c, Exists)  # the body value that settles it
         for r in _extensions(c.shift, t, restrict):
             v = _eval(r, g, c.body, restrict, budget)
-            if v.holds:
-                return Verdict(True, witness=r, inner=v)
-        return Verdict(False)
-    if isinstance(c, Forall):
-        if not _eval(t, g, c.guard, restrict, budget).holds:
-            return Verdict(True)
-        for r in _extensions(c.shift, t, restrict):
-            v = _eval(r, g, c.body, restrict, budget)
-            if not v.holds:
-                return Verdict(False, counterexample=r, inner=v)
-        return Verdict(True)
+            if v.holds == decisive:
+                return (Verdict(True, witness=r, inner=v) if decisive
+                        else Verdict(False, counterexample=r, inner=v))
+        return Verdict(not decisive)
     raise TypeError("unknown condition node %r" % type(c).__name__)
 
 
@@ -296,14 +286,18 @@ def check_constraint(g: Sketch, k: Constraint, *,
 
 def violating_extensions(t: GraphMorphism, g: Sketch, c: Forall, *,
                          restrict_to_monos: bool = False) -> list:
-    """All counterexample extensions of a universally quantified condition."""
+    """The counterexample extensions r: M -> G, a;r = t, of a universal
+    condition, in canonical order; none if the guard fails at t.  The
+    condition is checked for well-formedness once, and the guard and every
+    extension are evaluated under one step budget."""
     if not isinstance(c, Forall):
         raise TypeError("expected a universally quantified condition")
-    if not satisfies(t, g, c.guard, restrict_to_monos=restrict_to_monos).holds:
+    _validate(t, g, c)
+    budget = _Budget(DEFAULT_BUDGET)
+    if not _eval(t, g, c.guard, restrict_to_monos, budget).holds:
         return []
     return [r for r in _extensions(c.shift, t, restrict_to_monos)
-            if not satisfies(r, g, c.body,
-                             restrict_to_monos=restrict_to_monos).holds]
+            if not _eval(r, g, c.body, restrict_to_monos, budget).holds]
 
 
 def uc(rule: SketchMorphism) -> Condition:

@@ -8,11 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
+from .category import initial_morphism
 from .conditions import (And, Condition, Constraint, Exists, Forall, Not,
                          Stmt, Top, check_constraint, conj, satisfies,
-                         statements_conj, unguarded_exists)
-from .graphs import (GraphMorphism, MismatchError, compose,
-                     enumerate_morphisms, identity)
+                         statements_conj, uc, unguarded_exists,
+                         violating_extensions)
+from .graphs import GraphMorphism, MismatchError, compose, identity
 from .sketches import (Sketch, SketchMorphism, Statement, sketch_pushout,
                        translate_statement)
 
@@ -108,32 +109,27 @@ def rule_from_condition(cond: Condition) -> Rule:
     return Rule.build(lhs, body.shift, conclusion)
 
 
-def _is_match(t: GraphMorphism, g: Sketch, premise: Condition,
-              nac: Condition) -> bool:
-    return satisfies(t, g, premise).holds and satisfies(t, g, nac).holds
-
-
 def find_matches(rule: Rule, g: Sketch) -> list:
-    """All matches of the rule in canonical order: context morphisms t: L -> G
-    satisfying the premise statements and the negative application condition.
-    """
-    premise, nac = rule.premise_condition(), rule.nac_condition()
-    return [t for t in enumerate_morphisms(rule.lhs.context, g.context)
-            if _is_match(t, g, premise, nac)]
+    """All matches of the rule in canonical order: the violations of its
+    universal constraint ``uc(rule)``, i.e. the t: L -> G at which the premise
+    statements hold and no completion along the rule morphism exists (the
+    negative application condition)."""
+    return violating_extensions(initial_morphism(g.context), g,
+                                uc(rule.as_sketch_morphism()))
 
 
 def apply_rule(rule: Rule, match: GraphMorphism, g: Sketch):
     """Apply the rule at a match by a sketch pushout.
 
     Returns ``(H, a_star: G -> H, t_star: R -> H)``.  The match must be one
-    that :func:`find_matches` would return.
+    that :func:`find_matches` would return: a morphism L -> G at which the
+    body of ``uc(rule)`` fails.
     """
+    a = rule.as_sketch_morphism()
     if (match.dom != rule.lhs.context or match.cod != g.context
-            or not _is_match(match, g, rule.premise_condition(),
-                             rule.nac_condition())):
+            or satisfies(match, g, uc(a).body).holds):
         raise MismatchError("morphism is not a valid match for this rule")
-    t = SketchMorphism(rule.lhs, g, match)
-    h, t_star, a_star = sketch_pushout(rule.as_sketch_morphism(), t)
+    h, t_star, a_star = sketch_pushout(a, SketchMorphism(rule.lhs, g, match))
     return h, a_star, t_star
 
 
@@ -302,5 +298,7 @@ class ConstrainedSketch:
         raise AttributeError("ConstrainedSketch is immutable")
 
     def with_constraint(self, k: Constraint) -> "ConstrainedSketch":
-        return ConstrainedSketch(self.sketch, self.constraints | {k},
-                                 _certified=self.certified)
+        """The store plus ``k``; only ``k`` is checked, the rest already was."""
+        out = ConstrainedSketch(self.sketch, [k], _certified=self.certified)
+        object.__setattr__(out, "constraints", self.constraints | {k})
+        return out

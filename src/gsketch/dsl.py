@@ -227,7 +227,7 @@ class Parser:
                 "condition": self.parse_condition_decl,
                 "constraint": self.parse_constraint_decl,
                 "rule": self.parse_rule_decl,
-            }.get(tok.value)
+            }.get(tok.value if tok.kind == "ident" else None)
             if handler is None:
                 self.error("found %r" % (tok.value or "end of input"),
                            ["a declaration keyword"])
@@ -461,16 +461,18 @@ class Parser:
 
     def parse_expr(self, context: Graph) -> Condition:
         tok = self.peek()
-        if tok.value == "true":
+        # a quoted token is a name, never a keyword
+        keyword = tok.value if tok.kind == "ident" else None
+        if keyword == "true":
             self.next()
             return Top(context)
-        if tok.value == "false":
+        if keyword == "false":
             self.next()
             return Bottom(context)
-        if tok.value == "stmt":
+        if keyword == "stmt":
             self.next()
             return stmt(self.parse_statement(context))
-        if tok.value in ("and", "or"):
+        if keyword in ("and", "or"):
             self.next()
             self.expect("(")
             children = []
@@ -479,11 +481,11 @@ class Parser:
                 if self.at(","):
                     self.next()
             self.expect(")")
-            return _CONNECTIVES[tok.value](context, tuple(children))
-        if tok.value == "not":
+            return _CONNECTIVES[keyword](context, tuple(children))
+        if keyword == "not":
             self.next()
             return Not(context, self.parse_expr(context))
-        if tok.value == "implies":
+        if keyword == "implies":
             self.next()
             self.expect("(")
             lhs = self.parse_expr(context)
@@ -491,7 +493,7 @@ class Parser:
             rhs = self.parse_expr(context)
             self.expect(")")
             return implication(lhs, rhs)
-        if tok.value in ("exists", "forall"):
+        if keyword in ("exists", "forall"):
             self.next()
             guard = Top(context)
             if self.at("given"):
@@ -502,7 +504,7 @@ class Parser:
             self.expect(")")
             self.expect(".")
             body = self.parse_expr(shift.cod)
-            return _CONNECTIVES[tok.value](context, guard, shift, body)
+            return _CONNECTIVES[keyword](context, guard, shift, body)
         self.error("found %r" % (tok.value or "end of input"),
                    ["a condition expression"])
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gsketch import deduction
 from gsketch.cli import main
 from gsketch.dsl import parse
 
@@ -148,6 +149,22 @@ class TestDeduce:
                      "defined", "fresh"):
             assert name in out
 
+    def test_script_certifies_each_constraint_once(self, corpus, capsys,
+                                                   monkeypatch):
+        original, checked = deduction.check_constraint, []
+
+        def counting(g, k, **kwargs):
+            checked.append(k)
+            return original(g, k, **kwargs)
+
+        monkeypatch.setattr(deduction, "check_constraint", counting)
+        code = main(["deduce", *corpus, "--sketch", "Gprime",
+                     "--script", str(FIXTURE_DIR / "deduce.txt")])
+        capsys.readouterr()
+        assert code == 0
+        # six bound constraints, one check each
+        assert len(checked) == 6
+
     def test_bad_script_step(self, corpus, tmp_path, capsys):
         script = tmp_path / "script.txt"
         script.write_text("assume nope initial as x\n")
@@ -171,6 +188,7 @@ class TestDeduce:
         "elim unique via t3",
         "intro as x",
         "inst monic via { zz -> b } def phi7 as x",
+        'assume phi3 "initial" as x',
     ])
     def test_malformed_line_exits_two_with_its_number(self, corpus, tmp_path,
                                                       capsys, line):

@@ -40,6 +40,14 @@ class TestWellFormed:
             satisfies(morphism_of(graph_of("x"), fx.graph_g,
                                   nodes={"x": "1"}), fx.sketch_g, bad)
 
+    def test_violating_extensions_rejects_ill_formed(self, fx):
+        x = graph_of("x")
+        bad = unguarded_forall(initial_morphism(x),
+                               Stmt(x, fx.statements["psi4"]))
+        with pytest.raises(IllFormedConditionError):
+            violating_extensions(initial_morphism(fx.graph_g), fx.sketch_g,
+                                 bad)
+
 
 class TestSatisfactionClauses:
     def test_stmt_clause(self, fx):

@@ -1,10 +1,11 @@
 import pytest
 
+from gsketch import conditions, deduction
 from gsketch.category import initial_morphism
 from gsketch.conditions import (And, Constraint, Exists, Forall, Top,
                                 check_constraint, implication, satisfies, stmt,
-                                statements_conj, unguarded_exists,
-                                unguarded_forall)
+                                statements_conj, uc, unguarded_exists,
+                                unguarded_forall, well_formed)
 from gsketch.ct import COMP, MONIC, comp_stmt, monic_stmt
 from gsketch.deduction import (CertificationError, ConstrainedSketch,
                                MismatchError, Rule, RuleShapeError, apply_rule,
@@ -13,7 +14,8 @@ from gsketch.deduction import (CertificationError, ConstrainedSketch,
                                repair_to_fixpoint, rule_from_condition,
                                skolemize, statement_to_constraint,
                                universal_elim)
-from gsketch.graphs import compose, graph_of, identity, morphism_of
+from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
+                            morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
                               is_sketch_morphism, sketches_isomorphic,
                               translate_statement)
@@ -25,6 +27,27 @@ def rule3(fx):
 
 def rule6(fx):
     return rule_from_condition(fx.conditions["phi6"])
+
+
+def reference_matches(rule, g):
+    """Enumerate every L -> G, keep those where the premise and the negative
+    application condition hold."""
+    premise, nac = rule.premise_condition(), rule.nac_condition()
+    return [t for t in enumerate_morphisms(rule.lhs.context, g.context)
+            if satisfies(t, g, premise).holds and satisfies(t, g, nac).holds]
+
+
+def duplicate_composite_chain(n):
+    """Arrows a0..a(n-1) in a row; each adjacent pair has two composites c_i
+    and d_i, and every other d_i is monic."""
+    edges = ["a%d:%d->%d" % (i, i, i + 1) for i in range(n)]
+    edges += ["%s%d:%d->%d" % (x, i, i, i + 2)
+              for i in range(n - 1) for x in "cd"]
+    g = graph_of("", " ".join(edges))
+    stmts = [comp_stmt(g, "a%d" % i, "a%d" % (i + 1), "%s%d" % (x, i))
+             for i in range(n - 1) for x in "cd"]
+    stmts += [monic_stmt(g, "d%d" % i) for i in range(0, n - 1, 2)]
+    return Sketch(g, stmts)
 
 
 class TestRuleShapes:
@@ -107,6 +130,40 @@ class TestMatches:
         ms = find_matches(r, fx.sketch_g)
         assert all(Statement(COMP, m) not in fx.sketch_g.statements
                    for m in ms)
+
+
+class TestMatchesDifferential:
+    def test_fixture_sketches(self, fx, doc):
+        fx_rules = [rule3(fx), rule6(fx)] + [
+            rule_from_condition(fx.conditions[name]) for name in ("phi2", "phi5")]
+        for rules, sketches in (
+                (fx_rules, [fx.sketch_g, fx.sketch_g_prime]),
+                (list(doc.rules.values()), list(doc.sketches.values()))):
+            for r in rules:
+                for g in sketches:
+                    assert find_matches(r, g) == reference_matches(r, g)
+
+    def test_every_sketch_of_a_chain_repair(self, fx):
+        rules = [rule3(fx), rule6(fx)]
+        start = duplicate_composite_chain(4)
+        _, trace, exhausted = repair_to_fixpoint(rules, start, 20)
+        # three merges, then a0 and a2 become monic
+        assert len(trace) == 5 and not exhausted
+        for g in [start] + [step.result for step in trace]:
+            for r in rules:
+                assert find_matches(r, g) == reference_matches(r, g)
+
+    def test_one_well_formed_check_per_call(self, fx, monkeypatch):
+        checked = []
+
+        def counting(c):
+            checked.append(c)
+            return well_formed(c)
+
+        monkeypatch.setattr(conditions, "well_formed", counting)
+        r = rule3(fx)
+        assert len(find_matches(r, fx.sketch_g)) == 2
+        assert checked == [uc(r.as_sketch_morphism())]
 
 
 class TestApply:
@@ -288,6 +345,33 @@ class TestConstrainedSketch:
         bad = Constraint(fx.conditions["phi3"], initial_morphism(fx.graph_g))
         with pytest.raises(CertificationError):
             cs.with_constraint(bad)
+
+    def test_with_constraint_checks_only_the_new_constraint(self, fx,
+                                                           monkeypatch):
+        checked = []
+
+        def counting(g, k, **kwargs):
+            checked.append(k)
+            return check_constraint(g, k, **kwargs)
+
+        monkeypatch.setattr(deduction, "check_constraint", counting)
+        bang = initial_morphism(fx.graph_g)
+        ks = [Constraint(fx.conditions[n], bang) for n in ("phi4", "phi5")]
+        cs = ConstrainedSketch(fx.sketch_g, ks)
+        assert len(checked) == 2
+        k1 = Constraint(fx.conditions["phi1"], fx.t1)
+        cs = cs.with_constraint(k1)
+        assert checked[2:] == [k1]
+        assert cs.certified and cs.constraints == frozenset(ks + [k1])
+        # a hypothesis store checks anchors only
+        bad = Constraint(fx.conditions["phi2"], bang)
+        hyp = ConstrainedSketch.unchecked(fx.sketch_g, ks).with_constraint(bad)
+        assert len(checked) == 3 and not hyp.certified
+        assert hyp.constraints == frozenset(ks + [bad])
+        elsewhere = Constraint(fx.conditions["phi2"],
+                               initial_morphism(fx.sketch_g_prime.context))
+        with pytest.raises(MismatchError):
+            hyp.with_constraint(elsewhere)
 
     def test_immutable(self, fx):
         cs = ConstrainedSketch(fx.sketch_g)

@@ -62,6 +62,22 @@ class TestDiagnostics:
         assert err.value.line == 3
         assert err.value.expected  # mentions what would have been legal
 
+    @pytest.mark.parametrize("word", ["true", "false", "stmt", "and", "or",
+                                      "not", "implies", "exists", "forall"])
+    def test_quoted_keyword_is_a_name(self, word):
+        prefix = "condition c over Arrow = "
+        assert parse(BASE + prefix + "true").conditions
+        with pytest.raises(ParseError) as err:
+            parse(BASE + prefix + '"%s"' % word)
+        # rejected at the quoted name itself
+        assert err.value.col == len(prefix) + 1
+        assert err.value.expected == ("a condition expression",)
+
+    def test_quoted_declaration_keyword_is_a_name(self):
+        with pytest.raises(ParseError) as err:
+            parse('"graph" G { }')
+        assert err.value.expected == ("a declaration keyword",)
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as err:
             parse("graph G { nodes @; }")
