@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 from .category import initial_morphism
 from .graphs import (Graph, GraphMorphism, MismatchError, compose,
                      enumerate_extensions, enumerate_morphisms_extending,
-                     identity, is_monomorphism)
+                     identity, is_isomorphism, is_monomorphism)
 from .sketches import (Sketch, SketchMorphism, Statement, statement_key,
                        translate_statement)
 
@@ -331,8 +331,6 @@ def conditions_equal_modulo_renaming(a: Condition, b: Condition) -> bool:
     correspondences between the codomain contexts, and remaining elements are
     matched by a bounded isomorphism search.
     """
-    from .graphs import is_isomorphism
-
     def isos_extending(ga, gb, node_seed, edge_seed):
         for m in enumerate_morphisms_extending(ga, gb, node_seed, edge_seed):
             if is_isomorphism(m):

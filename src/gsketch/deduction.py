@@ -6,6 +6,7 @@ constraint translation along sketch morphisms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
 from .category import initial_morphism
@@ -53,7 +54,19 @@ class Rule:
                 "rhs statements must be the added ones plus the lhs image")
 
     def as_sketch_morphism(self) -> SketchMorphism:
+        return self._sketch_morphism
+
+    # Built on first use and kept on the instance; equality and hashing
+    # still see only the fields.
+    @cached_property
+    def _sketch_morphism(self) -> SketchMorphism:
         return SketchMorphism(self.lhs, self.rhs, self.morphism)
+
+    @cached_property
+    def universal_constraint(self) -> Condition:
+        """``uc`` of the rule's sketch morphism: its matches are the
+        violations of this closed condition."""
+        return uc(self.as_sketch_morphism())
 
     def nac_condition(self) -> Condition:
         """The negative application condition: no completion along the rule."""
@@ -115,7 +128,7 @@ def find_matches(rule: Rule, g: Sketch) -> list:
     statements hold and no completion along the rule morphism exists (the
     negative application condition)."""
     return violating_extensions(initial_morphism(g.context), g,
-                                uc(rule.as_sketch_morphism()))
+                                rule.universal_constraint)
 
 
 def apply_rule(rule: Rule, match: GraphMorphism, g: Sketch):
@@ -125,11 +138,11 @@ def apply_rule(rule: Rule, match: GraphMorphism, g: Sketch):
     that :func:`find_matches` would return: a morphism L -> G at which the
     body of ``uc(rule)`` fails.
     """
-    a = rule.as_sketch_morphism()
     if (match.dom != rule.lhs.context or match.cod != g.context
-            or satisfies(match, g, uc(a).body).holds):
+            or satisfies(match, g, rule.universal_constraint.body).holds):
         raise MismatchError("morphism is not a valid match for this rule")
-    h, t_star, a_star = sketch_pushout(a, SketchMorphism(rule.lhs, g, match))
+    h, t_star, a_star = sketch_pushout(rule.as_sketch_morphism(),
+                                       SketchMorphism(rule.lhs, g, match))
     return h, a_star, t_star
 
 

@@ -3,10 +3,15 @@
 Graphs and morphisms are immutable values; every operation returns a new
 value.  Enumeration is deterministic: elements are assigned in lexicographic
 order (nodes first, then edges) and candidate targets are tried in
-lexicographic order.
+lexicographic order.  Every enumeration goes through :func:`_search`, which
+indexes the codomain edges by their endpoints and drops a partial node map as
+soon as some domain edge between its nodes has no image; since only maps that
+no homomorphism extends are dropped, this canonical order is kept.
 """
 from __future__ import annotations
 
+from itertools import product
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 
@@ -19,7 +24,11 @@ class NotInvertibleError(ValueError):
 
 
 class Graph:
-    """A finite directed multigraph with string-named nodes and edges."""
+    """A finite directed multigraph with string-named nodes and edges.
+
+    ``src`` and ``tgt`` are read-only views of private copies, so the hash
+    computed at construction stays in step with ``==``.
+    """
 
     __slots__ = ("nodes", "edges", "src", "tgt", "_key")
 
@@ -27,8 +36,8 @@ class Graph:
                  src: Mapping[str, str], tgt: Mapping[str, str]):
         object.__setattr__(self, "nodes", frozenset(nodes))
         object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "src", dict(src))
-        object.__setattr__(self, "tgt", dict(tgt))
+        object.__setattr__(self, "src", MappingProxyType(dict(src)))
+        object.__setattr__(self, "tgt", MappingProxyType(dict(tgt)))
         object.__setattr__(self, "_key", (
             self.nodes, self.edges,
             tuple(sorted(self.src.items())), tuple(sorted(self.tgt.items()))))
@@ -92,14 +101,15 @@ def validate_graph(g: Graph) -> list:
 
 
 class GraphMorphism:
-    """A graph homomorphism: total node and edge maps respecting incidence."""
+    """A graph homomorphism: total node and edge maps respecting incidence.
+
+    ``node_map`` and ``edge_map`` are read-only views of private copies.
+    """
 
     __slots__ = ("dom", "cod", "node_map", "edge_map", "_key")
 
     def __init__(self, dom: Graph, cod: Graph,
                  node_map: Mapping[str, str], edge_map: Mapping[str, str]):
-        node_map = dict(node_map)
-        edge_map = dict(edge_map)
         for n in dom.nodes:
             if n not in node_map:
                 raise MismatchError("node %r of the domain is unmapped" % n)
@@ -118,8 +128,8 @@ class GraphMorphism:
         edge_map = {e: edge_map[e] for e in dom.edges}
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "node_map", node_map)
-        object.__setattr__(self, "edge_map", edge_map)
+        object.__setattr__(self, "node_map", MappingProxyType(node_map))
+        object.__setattr__(self, "edge_map", MappingProxyType(edge_map))
         object.__setattr__(self, "_key", (
             dom, cod, tuple(sorted(node_map.items())),
             tuple(sorted(edge_map.items()))))
@@ -204,10 +214,16 @@ def _search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
 
     Yields in canonical order: dom elements are assigned in lexicographic
     order, nodes before edges, candidate targets in lexicographic order.
+
+    The codomain edges are indexed once per call by (source, target).  A
+    node image is rejected as soon as some dom edge between placed nodes
+    (seeded ones or earlier in the order) has no codomain edge between their
+    images; a node joined by an edge to an earlier-placed one only tries the
+    sorted neighbours of that one's image.  An edge slot iterates the sorted
+    index entry of its endpoint images.  Only partial maps that no
+    homomorphism extends are skipped, so the output is the same list, in the
+    same order, as trying every node map.
     """
-    nodes = sorted(dom.nodes)
-    edges = sorted(dom.edges)
-    cod_nodes = sorted(cod.nodes)
     node_map: dict = {}
     edge_map: dict = {}
 
@@ -224,33 +240,56 @@ def _search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
                 return
         edge_map[e] = img
 
-    def assign(i: int) -> Iterator[GraphMorphism]:
-        if i == len(nodes) + len(edges):
-            yield GraphMorphism(dom, cod, node_map, edge_map)
-            return
-        if i < len(nodes):
-            n = nodes[i]
-            if n in node_map:
-                yield from assign(i + 1)
-                return
-            for img in cod_nodes:
-                node_map[n] = img
-                yield from assign(i + 1)
-            node_map.pop(n, None)
-            return
-        e = edges[i - len(nodes)]
-        if e in edge_map:
-            yield from assign(i + 1)
-            return
-        s_img = node_map[dom.src[e]]
-        t_img = node_map[dom.tgt[e]]
-        for img in sorted(cod.edges):
-            if cod.src[img] == s_img and cod.tgt[img] == t_img:
-                edge_map[e] = img
-                yield from assign(i + 1)
-        edge_map.pop(e, None)
+    between: dict = {}
+    for img in sorted(cod.edges):
+        between.setdefault((cod.src[img], cod.tgt[img]), []).append(img)
+    succ: dict = {}
+    pred: dict = {}
+    for s, t in sorted(between):
+        succ.setdefault(s, []).append(t)
+        pred.setdefault(t, []).append(s)
 
-    yield from assign(0)
+    free_nodes = [n for n in sorted(dom.nodes) if n not in node_map]
+    free_edges = [e for e in sorted(dom.edges) if e not in edge_map]
+    # checks[i]: endpoint pairs of the dom edges placed with free_nodes[i]
+    position = {n: i for i, n in enumerate(free_nodes)}
+    checks: list = [{} for _ in free_nodes]
+    for e in sorted(dom.edges):
+        s, t = dom.src[e], dom.tgt[e]
+        i = max(position.get(s, -1), position.get(t, -1))
+        if i >= 0:
+            checks[i][s, t] = None
+        elif (node_map[s], node_map[t]) not in between:
+            return
+    # where the images of free_nodes[i] come from: the successors or the
+    # predecessors of an earlier node's image, or every codomain node
+    via = [next(((succ, s) if t == n else (pred, t)
+                 for s, t in pairs if (s == n) != (t == n)), (None, None))
+           for n, pairs in zip(free_nodes, checks)]
+    cod_nodes = sorted(cod.nodes)
+
+    def place(i: int) -> Iterator[GraphMorphism]:
+        if i == len(free_nodes):
+            buckets = [between[node_map[dom.src[e]], node_map[dom.tgt[e]]]
+                       for e in free_edges]
+            for images in product(*buckets):
+                edge_map.update(zip(free_edges, images))
+                yield GraphMorphism(dom, cod, node_map, edge_map)
+            return
+        n, pairs, (adjacent, other) = free_nodes[i], checks[i], via[i]
+        images = cod_nodes if adjacent is None else adjacent.get(node_map[other], ())
+        for img in images:
+            node_map[n] = img
+            if all((node_map[s], node_map[t]) in between for s, t in pairs):
+                yield from place(i + 1)
+        node_map.pop(n, None)
+
+    try:
+        yield from place(0)
+    finally:
+        # place refers to itself; unbinding it frees the index at once
+        # rather than at the next run of the cyclic garbage collector
+        del place
 
 
 def enumerate_morphisms(a: Graph, g: Graph) -> list:

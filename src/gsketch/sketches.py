@@ -9,6 +9,7 @@ multi-sketch variants where statements carry identifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .category import pullback, pushout, tagged_quotient
@@ -193,7 +194,10 @@ def sketches_isomorphic(a: Sketch, b: Sketch) -> bool:
 
 
 class MultiSketch:
-    """A sketch whose statements carry identities (an indexed family)."""
+    """A sketch whose statements carry identities (an indexed family).
+
+    ``stm`` is a read-only view of a private copy.
+    """
 
     __slots__ = ("context", "stm")
 
@@ -204,7 +208,7 @@ class MultiSketch:
                 raise MismatchError(
                     "statement %r is not bound in the multi-sketch context" % i)
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "stm", stm)
+        object.__setattr__(self, "stm", MappingProxyType(stm))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiSketch is immutable")

@@ -1,6 +1,6 @@
 import pytest
 
-from gsketch import conditions, deduction
+from gsketch import conditions, deduction, sketches
 from gsketch.category import initial_morphism
 from gsketch.conditions import (And, Constraint, Exists, Forall, Top,
                                 check_constraint, implication, satisfies, stmt,
@@ -164,6 +164,57 @@ class TestMatchesDifferential:
         r = rule3(fx)
         assert len(find_matches(r, fx.sketch_g)) == 2
         assert checked == [uc(r.as_sketch_morphism())]
+
+
+class TestRuleCaching:
+    def test_uc_built_once_per_rule(self, fx, monkeypatch):
+        built = []
+
+        def counting(a):
+            built.append(a)
+            return uc(a)
+
+        monkeypatch.setattr(deduction, "uc", counting)
+        r = rule_from_condition(fx.conditions["phi3"])
+        first = find_matches(r, fx.sketch_g)
+        assert find_matches(r, fx.sketch_g) == first
+        assert len(first) == 2
+        h, _, _ = apply_rule(r, first[0], fx.sketch_g)
+        assert find_matches(r, h) == reference_matches(r, h)
+        assert built == [r.as_sketch_morphism()]
+
+    def test_sketch_morphism_validated_once(self, fx, monkeypatch):
+        validated = []
+
+        def counting(m, dom, cod):
+            validated.append(m)
+            return is_sketch_morphism(m, dom, cod)
+
+        monkeypatch.setattr(sketches, "is_sketch_morphism", counting)
+        r = rule_from_condition(fx.conditions["phi3"])
+        for _ in range(2):
+            for t in find_matches(r, fx.sketch_g):
+                apply_rule(r, t, fx.sketch_g)
+        # each application validates its match; the rule's own morphism
+        # is validated once
+        assert validated.count(r.morphism) == 1
+
+    def test_cached_values_leave_equality_alone(self, fx):
+        used, fresh = rule3(fx), rule3(fx)
+        used.universal_constraint
+        assert used == fresh and hash(used) == hash(fresh)
+        assert fresh.universal_constraint == uc(fresh.as_sketch_morphism())
+
+    def test_repair_trace_unchanged_by_reuse(self, fx):
+        rules = [rule3(fx), rule6(fx)]
+        start = duplicate_composite_chain(4)
+        first = repair_to_fixpoint(rules, start, 20)
+        again = repair_to_fixpoint(rules, start, 20)
+        fresh = repair_to_fixpoint([rule3(fx), rule6(fx)], start, 20)
+        for other in (again, fresh):
+            assert other[0] == first[0] and other[2] == first[2]
+            assert [(s.rule, s.match, s.result) for s in other[1]] == \
+                [(s.rule, s.match, s.result) for s in first[1]]
 
 
 class TestApply:

@@ -1,14 +1,15 @@
+import gc
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsketch.graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
                             NotInvertibleError, compose, enumerate_extensions,
-                            enumerate_morphisms, graph_of, identity, invert,
-                            is_isomorphism, is_monomorphism, morphism_of,
-                            validate_graph)
+                            enumerate_morphisms, enumerate_morphisms_extending,
+                            graph_of, identity, invert, is_isomorphism,
+                            is_monomorphism, morphism_of, validate_graph)
 
 from conftest import brute_force_morphisms
 
@@ -51,6 +52,27 @@ class TestValidation:
     def test_graph_immutable(self):
         with pytest.raises(AttributeError):
             G.nodes = frozenset()
+
+    def test_incidence_maps_read_only(self):
+        g = graph_of("", "a:1->2")
+        for incidence in (g.src, g.tgt):
+            with pytest.raises(TypeError):
+                incidence["a"] = "2"
+        assert g == graph_of("", "a:1->2")
+
+    def test_constructor_copies_incidence(self):
+        src, tgt = {"a": "1"}, {"a": "2"}
+        g = Graph(["1", "2"], ["a"], src, tgt)
+        src["a"] = "2"
+        assert g.src["a"] == "1" and hash(g) == hash(graph_of("", "a:1->2"))
+
+    def test_morphism_maps_read_only(self):
+        t = morphism_of(K1, G, edges={"e1": "a", "e2": "b"})
+        with pytest.raises(TypeError):
+            t.node_map["v1"] = "2"
+        with pytest.raises(TypeError):
+            t.edge_map["e1"] = "e"
+        assert t == morphism_of(K1, G, edges={"e1": "a", "e2": "b"})
 
 
 class TestComposition:
@@ -110,7 +132,17 @@ class TestEnumeration:
         got = enumerate_morphisms(COMP_ARITY, G)
         want = brute_force_morphisms(COMP_ARITY, G)
         assert set(got) == set(want)
-        assert len(got) == len(want)
+        assert got == want
+
+    def test_search_leaves_no_reference_cycle(self):
+        # the per-call codomain index is freed as soon as a search ends
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(enumerate_morphisms(COMP_ARITY, G)) == 3
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_deterministic(self):
         assert enumerate_morphisms(K1, G) == enumerate_morphisms(K1, G)
@@ -126,8 +158,57 @@ class TestEnumeration:
     def test_matches_brute_force(self, a, g):
         got = enumerate_morphisms(a, g)
         want = brute_force_morphisms(a, g)
-        assert set(got) == set(want)
+        # the oracle iterates node images, then edge images, each in
+        # lexicographic order: the canonical order itself
+        assert got == want
         assert len(got) == len(set(got))
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=small_graphs(max_nodes=3, max_edges=3),
+           g=small_graphs(max_nodes=3, max_edges=4), data=st.data())
+    def test_extending_matches_filtered_brute_force(self, a, g, data):
+        # seeds may name images outside g and may disagree with the
+        # endpoints a seeded edge forces
+        images = sorted(g.nodes) + ["absent"]
+        node_seed = {n: data.draw(st.sampled_from(images))
+                     for n in sorted(a.nodes) if data.draw(st.booleans())}
+        edge_seed = {e: data.draw(st.sampled_from(sorted(g.edges)))
+                     for e in sorted(a.edges)
+                     if g.edges and data.draw(st.booleans())}
+        want = [m for m in brute_force_morphisms(a, g)
+                if all(m.node_map[n] == img for n, img in node_seed.items())
+                and all(m.edge_map[e] == img for e, img in edge_seed.items())]
+        assert enumerate_morphisms_extending(a, g, node_seed, edge_seed) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=small_graphs(max_nodes=2, max_edges=2),
+           m=small_graphs(max_nodes=3, max_edges=3),
+           g=small_graphs(max_nodes=3, max_edges=4), data=st.data())
+    def test_extensions_match_filtered_brute_force(self, k, m, g, data):
+        shifts, anchors = enumerate_morphisms(k, m), enumerate_morphisms(k, g)
+        assume(shifts and anchors)
+        a = data.draw(st.sampled_from(shifts))
+        t = data.draw(st.sampled_from(anchors))
+        want = [r for r in brute_force_morphisms(m, g) if compose(a, r) == t]
+        assert enumerate_extensions(a, t) == want
+
+    def test_l3_into_duplicate_composite_chain(self):
+        # arrows a0..a11 between nodes "0".."12"; composites c_i, d_i: i -> i+2
+        n = 12
+        chain = graph_of("", " ".join(
+            ["a%d:%d->%d" % (i, i, i + 1) for i in range(n)]
+            + ["%s%d:%d->%d" % (x, i, i, i + 2)
+               for i in range(n - 1) for x in "cd"]))
+        l3 = graph_of("", "e1:v1->v2 e2:v2->v3 e3:v1->v3 e4:v1->v3")
+        got = enumerate_morphisms(l3, chain)
+        # v1 -> v3 spans two steps, so e1, e2 are a_i, a_i+1 and e3, e4 each
+        # pick c_i or d_i: 4 per start node i = 0..n-2
+        assert len(got) == 4 * (n - 1)
+        assert got[0] == morphism_of(
+            l3, chain, edges={"e1": "a0", "e2": "a1", "e3": "c0", "e4": "c0"})
+        # node names compare as strings, so "9" is the last start node
+        assert got[-1] == morphism_of(
+            l3, chain, edges={"e1": "a9", "e2": "a10", "e3": "d9", "e4": "d9"})
 
 
 class TestExtensions:

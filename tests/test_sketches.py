@@ -173,6 +173,12 @@ class TestMultiSketches:
         s = monic_stmt(g, "b")
         return MultiSketch(g, {"i1": s, "i2": s})
 
+    def test_statement_family_read_only(self, fx):
+        ms = self._monic_pair(fx)
+        with pytest.raises(TypeError):
+            ms.stm["i1"] = monic_stmt(fx.graph_g, "a")
+        assert ms == self._monic_pair(fx)
+
     def test_distinct_ids_with_equal_statements_stay_distinct(self, fx):
         ms = self._monic_pair(fx)
         ident = MultiSketchMorphism(ms, ms, identity(fx.graph_g),
