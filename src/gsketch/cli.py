@@ -42,9 +42,7 @@ def _morphism_table(m: GraphMorphism) -> str:
 
 def _target_sketch(doc: Document, args, decl=None) -> Sketch:
     if getattr(args, "sketch", None):
-        if args.sketch not in doc.sketches:
-            raise InputError("unknown sketch %r" % args.sketch)
-        return doc.sketches[args.sketch]
+        return doc.lookup("sketch", args.sketch)
     if decl is not None and decl.anchor is not None:
         fits = [sk for sk in doc.sketches.values()
                 if sk.context == decl.anchor.cod]
@@ -62,19 +60,13 @@ def _target_sketch(doc: Document, args, decl=None) -> Sketch:
 
 
 def cmd_check(doc: Document, args) -> int:
-    if args.constraint:
-        names = list(args.constraint)
-        for name in names:
-            if name not in doc.constraints:
-                raise InputError("unknown constraint %r" % name)
-    else:
-        names = list(doc.constraints)
+    names = args.constraint or list(doc.constraints)
     if not names:
         raise InputError("document declares no constraints")
+    decls = [doc.lookup("constraint", name) for name in names]
     reports = []
     all_hold = True
-    for name in names:
-        decl = doc.constraints[name]
+    for name, decl in zip(names, decls):
         sketch = _target_sketch(doc, args, decl)
         k = decl.resolve(sketch.context)
         verdict = check_constraint(sketch, k)
@@ -102,11 +94,7 @@ def cmd_check(doc: Document, args) -> int:
 
 
 def cmd_repair(doc: Document, args) -> int:
-    rules = []
-    for name in args.rules:
-        if name not in doc.rules:
-            raise InputError("unknown rule %r" % name)
-        rules.append(doc.rules[name])
+    rules = [doc.lookup("rule", name) for name in args.rules]
     sketch = _target_sketch(doc, args)
     final, trace, exhausted = repair_to_fixpoint(rules, sketch, args.max_steps)
     for i, step in enumerate(trace, start=1):
@@ -128,12 +116,8 @@ def cmd_repair(doc: Document, args) -> int:
 
 
 def cmd_translate(doc: Document, args) -> int:
-    if args.condition not in doc.conditions:
-        raise InputError("unknown condition %r" % args.condition)
-    if args.along not in doc.morphisms:
-        raise InputError("unknown morphism %r" % args.along)
-    cond = doc.conditions[args.condition]
-    c = doc.morphisms[args.along]
+    cond = doc.lookup("condition", args.condition)
+    c = doc.lookup("morphism", args.along)
     if c.dom != cond.context:
         raise InputError("morphism %r does not start at the condition context"
                          % args.along)
@@ -151,11 +135,7 @@ def _sketch_for_graph(doc: Document, graph, what: str) -> Sketch:
 def _span(doc: Document, names: List[str], cospan: bool):
     if len(names) != 2:
         raise InputError("expected exactly two morphism names")
-    ms = []
-    for name in names:
-        if name not in doc.morphisms:
-            raise InputError("unknown morphism %r" % name)
-        ms.append(doc.morphisms[name])
+    ms = [doc.lookup("morphism", name) for name in names]
     shared = "codomain" if cospan else "domain"
     a, b = ms
     if (a.cod != b.cod) if cospan else (a.dom != b.dom):
@@ -224,7 +204,7 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
         p.expect("as")
         name = p.expect_name()
         if p.peek().kind != "eof":
-            p.error("found %r" % p.peek().value, ["end of line"])
+            p.unexpected("end of line")
         return name
 
     for lineno, raw in enumerate(lines, start=1):
@@ -234,17 +214,16 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
                 continue
             op = p.expect_name()
             if op == "assume":
-                cond = doc.conditions[p.expect_name()]
-                if p.at("initial"):
-                    p.next()
+                cond = doc.lookup("condition", p.expect_name())
+                if p.accept("initial"):
                     anchor = initial_morphism(state.sketch.context)
                 else:
-                    anchor = doc.morphisms[p.expect_name()]
+                    anchor = doc.lookup("morphism", p.expect_name())
                 bind(result_name(p), Constraint(cond, anchor))
             elif op == "elim":
                 k = constraint(p.expect_name())
                 p.expect("via")
-                t = doc.morphisms[p.expect_name()]
+                t = doc.lookup("morphism", p.expect_name())
                 bind(result_name(p), universal_elim(k, t))
             elif op == "mp":
                 k = constraint(p.expect_name())
@@ -272,14 +251,14 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
             elif op == "inst":
                 s = p.parse_statement(state.sketch.context)
                 p.expect("def")
-                definition = doc.conditions[p.expect_name()]
+                definition = doc.lookup("condition", p.expect_name())
                 if s not in state.sketch.statements:
                     raise InputError("statement is not in the sketch")
                 bind(result_name(p), statement_to_constraint(
                     s, definition, identity(s.predicate.arity)))
             else:
                 raise InputError("unknown deduction command %r" % op)
-        except (KeyError, ParseError) as exc:
+        except ParseError as exc:
             raise InputError("line %d: malformed command (%s)"
                              % (lineno, raw.split("#", 1)[0].strip())) from exc
         except (InputError, MismatchError, RuleShapeError, CertificationError,

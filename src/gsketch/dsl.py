@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .category import initial_morphism
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          Junction, Not, Or, Quantifier, Stmt, Top, implication,
                          stmt, well_formed)
 from .deduction import Rule
-from .graphs import (Graph, GraphMorphism, MismatchError, graph_of, identity,
-                     morphism_of, validate_graph)
+from .graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
+                     identity, morphism_of, validate_graph)
 from .sketches import (Footprint, PredicateSymbol, Sketch, SketchMorphism,
-                       Statement, statement_key, translate_statement)
+                       Statement, translate_statement)
 
 
 class ParseError(ValueError):
@@ -59,6 +59,13 @@ class ConstraintDecl:
         return Constraint(self.condition, initial_morphism(target_context))
 
 
+# declaration kind -> the Document table holding it
+_TABLES = {"graph": "graphs", "footprint": "footprints",
+           "morphism": "morphisms", "sketch": "sketches",
+           "condition": "conditions", "constraint": "constraints",
+           "rule": "rules"}
+
+
 @dataclass
 class Document:
     graphs: Dict[str, Graph] = field(default_factory=dict)
@@ -68,7 +75,6 @@ class Document:
     conditions: Dict[str, Condition] = field(default_factory=dict)
     constraints: Dict[str, ConstraintDecl] = field(default_factory=dict)
     rules: Dict[str, Rule] = field(default_factory=dict)
-    order: List[Tuple[str, str]] = field(default_factory=list)  # (kind, name)
 
     def predicate(self, name: str) -> PredicateSymbol:
         found = [fp[name] for fp in self.footprints.values() if name in fp]
@@ -79,17 +85,13 @@ class Document:
                                   % name)
         return found[0]
 
-    def merge(self, other: "Document") -> "Document":
-        for kind in ("graphs", "footprints", "morphisms", "sketches",
-                     "conditions", "constraints", "rules"):
-            mine, theirs = getattr(self, kind), getattr(other, kind)
-            for name in theirs:
-                if name in mine:
-                    raise ResolutionError("duplicate %s name %r"
-                                          % (kind[:-1], name))
-            mine.update(theirs)
-        self.order.extend(other.order)
-        return self
+    def lookup(self, kind: str, name: str):
+        """The declaration of ``kind`` (``"graph"``, ``"sketch"``, ...)
+        called ``name``."""
+        table = getattr(self, _TABLES[kind])
+        if name not in table:
+            raise ResolutionError("unknown %s %r" % (kind, name))
+        return table[name]
 
     def __eq__(self, other):
         if not isinstance(other, Document):
@@ -109,70 +111,50 @@ KEYWORDS = {"graph", "footprint", "pred", "arity", "morphism", "nodes",
             "implies", "given", "extend", "constraint", "initial", "rule",
             "from", "to"}
 
-_SYMBOLS = ("->", "{", "}", "(", ")", ":", ";", ",", ".", "=")
-
 _CONNECTIVES = {"and": And, "or": Or, "exists": Exists, "forall": Forall}
 _KEYWORD_OF = {cls: keyword for keyword, cls in _CONNECTIVES.items()}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "sym", "eof"
+class _Token(NamedTuple):
+    kind: str  # "ident", "quoted", "sym", "eof"
     value: str
     line: int
     col: int
 
 
+# One alternative per lexical class; the first that matches wins.
+_LEXEME = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<sym>->|[{}():;,.=])
+  | (?P<quoted>"[^"\n]*")
+  | (?P<ident>\w+)
+  | (?P<unterminated>")
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("sym", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}():;,.=":
-            tokens.append(_Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "skip":
+            col = m.start() - line_start + 1
+            if kind == "unterminated":
                 raise ParseError("unterminated quoted name", line, col)
-            tokens.append(_Token("quoted", text[i + 1:j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("eof", "", line, col))
+            if kind == "bad":
+                raise ParseError("unexpected character %r" % m.group(), line, col)
+            value = m.group()[1:-1] if kind == "quoted" else m.group()
+            tokens.append(_Token(kind, value, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _located(tok: _Token, message: str) -> str:
+    return "line %d, column %d: %s" % (tok.line, tok.col, message)
 
 
 class Parser:
@@ -194,124 +176,109 @@ class Parser:
         self.pos += 1
         return tok
 
-    def error(self, message, expected=()):
+    def unexpected(self, *expected: str):
+        """Reject the next token, naming what would have been legal there."""
         tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
-
-    def expect(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "quoted" or tok.value != value:
-            self.error("found %r" % (tok.value or "end of input"), [repr(value)])
-        return self.next()
-
-    def expect_name(self) -> str:
-        tok = self.peek()
-        if tok.kind not in ("ident", "quoted"):
-            self.error("found %r" % (tok.value or "end of input"), ["a name"])
-        return self.next().value
+        found = "end of input" if tok.kind == "eof" else tok.value
+        raise ParseError("found %r" % found, tok.line, tok.col, expected)
 
     def at(self, value: str) -> bool:
         tok = self.peek()
         return tok.kind != "quoted" and tok.value == value
+
+    def accept(self, value: str) -> bool:
+        """Consume the next token if it is ``value``."""
+        if self.at(value):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> _Token:
+        if not self.at(value):
+            self.unexpected(repr(value))
+        return self.next()
+
+    def expect_name(self) -> str:
+        if self.peek().kind not in ("ident", "quoted"):
+            self.unexpected("a name")
+        return self.next().value
+
+    def section(self) -> str:
+        """Read the ``nodes`` or ``edges`` keyword that opens a body section."""
+        tok = self.peek()
+        if tok.kind != "ident" or tok.value not in ("nodes", "edges"):
+            self.unexpected("'nodes'", "'edges'")
+        return self.next().value
 
     # declarations ---------------------------------------------------------
 
     def parse_document(self) -> Document:
         while self.peek().kind != "eof":
             tok = self.peek()
-            handler = {
-                "graph": self.parse_graph_decl,
-                "footprint": self.parse_footprint_decl,
-                "morphism": self.parse_morphism_decl,
-                "sketch": self.parse_sketch_decl,
-                "condition": self.parse_condition_decl,
-                "constraint": self.parse_constraint_decl,
-                "rule": self.parse_rule_decl,
-            }.get(tok.value if tok.kind == "ident" else None)
-            if handler is None:
-                self.error("found %r" % (tok.value or "end of input"),
-                           ["a declaration keyword"])
-            handler()
+            # the declaration keywords are exactly the kinds of declaration
+            if tok.kind != "ident" or tok.value not in _TABLES:
+                self.unexpected("a declaration keyword")
+            getattr(self, "parse_%s_decl" % tok.value)()
         return self.doc
 
     def _declare(self, kind: str, name: str, value):
-        table = getattr(self.doc, kind)
+        table = getattr(self.doc, _TABLES[kind])
         if name in table:
-            raise ResolutionError("duplicate %s name %r" % (kind[:-1], name))
+            raise ResolutionError("duplicate %s name %r" % (kind, name))
         table[name] = value
-        self.doc.order.append((kind, name))
 
     def parse_graph_decl(self):
         self.expect("graph")
-        name = self.expect_name()
-        g = self.parse_graph_body()
-        problems = validate_graph(g)
-        if problems:
-            raise ValidationError("graph %r: %s" % (name, "; ".join(problems)))
-        self._declare("graphs", name, g)
+        self._declare("graph", self.expect_name(), self.parse_graph_body())
 
-    def parse_graph_body(self, declared_only: bool = True) -> Graph:
-        """Parse ``{ nodes ...; edges ... }``.
+    def parse_graph_body(self, base: Graph = EMPTY_GRAPH) -> Graph:
+        """Parse ``{ nodes ...; edges ... }``; returns ``base`` plus the
+        declared nodes and edges.
 
-        With ``declared_only`` every edge endpoint must appear in a nodes
-        section; ``extend`` bodies relax this because endpoints may come from
-        the surrounding context.
+        Edge names must be new, and every edge endpoint must be a node of the
+        result: declared in the body or, for ``extend``, in the context.
         """
-        self.expect("{")
-        nodes: List[str] = []
-        edges: List[Tuple[str, str, str]] = []
-        spots: Dict[str, Tuple[int, int]] = {}
+        brace = self.expect("{")
+        nodes = set(base.nodes)
+        src, tgt = dict(base.src), dict(base.tgt)
+        ends: List[_Token] = []
         while not self.at("}"):
-            if self.at("nodes"):
-                self.next()
+            if self.section() == "nodes":
                 while (self.peek().kind == "quoted"
                        or (self.peek().kind == "ident"
                            and self.peek().value not in ("nodes", "edges"))):
-                    nodes.append(self.next().value)
-                if self.at(";"):
-                    self.next()
-            elif self.at("edges"):
-                self.next()
-                while True:
-                    e = self.expect_name()
-                    self.expect(":")
-                    tok = self.peek()
-                    s = self.expect_name()
-                    spots.setdefault(s, (tok.line, tok.col))
-                    self.expect("->")
-                    tok = self.peek()
-                    t = self.expect_name()
-                    spots.setdefault(t, (tok.line, tok.col))
-                    edges.append((e, s, t))
-                    if self.at(","):
-                        self.next()
-                        continue
-                    break
-                if self.at(";"):
-                    self.next()
+                    nodes.add(self.next().value)
             else:
-                self.error("found %r" % self.peek().value, ["'nodes'", "'edges'"])
-        self.expect("}")
-        node_set = set(nodes)
-        for _, s, t in edges:
-            if declared_only:
-                for end in (s, t):
-                    if end not in node_set:
-                        line, col = spots[end]
+                while True:
+                    tok = self.peek()
+                    e = self.expect_name()
+                    if e in src:
                         raise ResolutionError(
-                            "line %d, column %d: edge endpoint %r is not a "
-                            "declared node" % (line, col, end))
-            node_set.update((s, t))
-        return Graph(node_set, [e for e, _, _ in edges],
-                     {e: s for e, s, _ in edges}, {e: t for e, _, t in edges})
+                            _located(tok, "duplicate edge name %r" % e))
+                    self.expect(":")
+                    ends.append(self.peek())
+                    src[e] = self.expect_name()
+                    self.expect("->")
+                    ends.append(self.peek())
+                    tgt[e] = self.expect_name()
+                    if not self.accept(","):
+                        break
+            self.accept(";")
+        self.expect("}")
+        for tok in ends:
+            if tok.value not in nodes:
+                raise ResolutionError(_located(
+                    tok, "edge endpoint %r is not a declared node" % tok.value))
+        g = Graph(nodes, src.keys(), src, tgt)
+        problems = validate_graph(g)
+        if problems:
+            raise ValidationError(_located(brace, "; ".join(problems)))
+        return g
 
     def graph_ref(self) -> Graph:
         if self.at("{"):
             return self.parse_graph_body()
-        name = self.expect_name()
-        if name not in self.doc.graphs:
-            raise ResolutionError("unknown graph %r" % name)
-        return self.doc.graphs[name]
+        return self.doc.lookup("graph", self.expect_name())
 
     def parse_footprint_decl(self):
         self.expect("footprint")
@@ -322,12 +289,10 @@ class Parser:
             self.expect("pred")
             pname = self.expect_name()
             self.expect("arity")
-            arity = self.graph_ref()
-            preds.append(PredicateSymbol(pname, arity))
-            if self.at(";"):
-                self.next()
+            preds.append(PredicateSymbol(pname, self.graph_ref()))
+            self.accept(";")
         self.expect("}")
-        self._declare("footprints", name, Footprint(preds))
+        self._declare("footprint", name, Footprint(preds))
 
     def parse_pairs(self) -> List[Tuple[str, str]]:
         """Parse ``x -> y, ...`` up to the first token that is not a name."""
@@ -336,8 +301,7 @@ class Parser:
             a = self.next().value
             self.expect("->")
             pairs.append((a, self.expect_name()))
-            if self.at(","):
-                self.next()
+            self.accept(",")
         return pairs
 
     def parse_assignments(self) -> List[Tuple[str, str]]:
@@ -370,19 +334,14 @@ class Parser:
         self.expect("{")
         sections = {"nodes": {}, "edges": {}}
         while not self.at("}"):
-            tok = self.peek()
-            if tok.kind != "ident" or tok.value not in sections:
-                self.error("found %r" % tok.value, ["'nodes'", "'edges'"])
-            self.next()
-            sections[tok.value].update(self.parse_pairs())
-            if self.at(";"):
-                self.next()
+            sections[self.section()].update(self.parse_pairs())
+            self.accept(";")
         self.expect("}")
         try:
             m = morphism_of(dom, cod, sections["nodes"], sections["edges"])
         except MismatchError as exc:
             raise ValidationError("morphism %r: %s" % (name, exc)) from exc
-        self._declare("morphisms", name, m)
+        self._declare("morphism", name, m)
 
     def parse_statement(self, context: Graph) -> Statement:
         """Parse ``PRED via { x -> y, ... }`` into a statement over context."""
@@ -402,9 +361,7 @@ class Parser:
         self.expect("sketch")
         name = self.expect_name()
         self.expect("over")
-        fp_name = self.expect_name()
-        if fp_name not in self.doc.footprints:
-            raise ResolutionError("unknown footprint %r" % fp_name)
+        self.doc.lookup("footprint", self.expect_name())
         self.expect("on")
         context = self.graph_ref()
         self.expect("{")
@@ -412,10 +369,9 @@ class Parser:
         while not self.at("}"):
             self.expect("stmt")
             statements.append(self.parse_statement(context))
-            if self.at(";"):
-                self.next()
+            self.accept(";")
         self.expect("}")
-        self._declare("sketches", name, Sketch(context, statements))
+        self._declare("sketch", name, Sketch(context, statements))
 
     def parse_condition_decl(self):
         self.expect("condition")
@@ -427,33 +383,16 @@ class Parser:
         problems = well_formed(cond)
         if problems:
             raise ValidationError("condition %r: %s" % (name, "; ".join(problems)))
-        self._declare("conditions", name, cond)
+        self._declare("condition", name, cond)
 
     def parse_shift(self, context: Graph) -> GraphMorphism:
-        if self.at("extend"):
-            self.next()
-            ext = self.parse_graph_body(declared_only=False)
-            nodes = set(context.nodes) | set(ext.nodes)
-            edges = set(context.edges) | set(ext.edges)
-            src = dict(context.src)
-            tgt = dict(context.tgt)
-            for e in ext.edges:
-                if e in context.edges:
-                    raise ResolutionError("extend redeclares edge %r" % e)
-                src[e], tgt[e] = ext.src[e], ext.tgt[e]
-            for e in ext.edges:
-                for end in (src[e], tgt[e]):
-                    if end not in nodes:
-                        raise ResolutionError(
-                            "extend: endpoint %r is not declared" % end)
-            big = Graph(nodes, edges, src, tgt)
+        if self.accept("extend"):
+            big = self.parse_graph_body(context)
             return GraphMorphism(context, big,
                                  {n: n for n in context.nodes},
                                  {e: e for e in context.edges})
         name = self.expect_name()
-        if name not in self.doc.morphisms:
-            raise ResolutionError("unknown morphism %r" % name)
-        m = self.doc.morphisms[name]
+        m = self.doc.lookup("morphism", name)
         if m.dom != context:
             raise ValidationError(
                 "morphism %r does not start at the current context" % name)
@@ -478,8 +417,7 @@ class Parser:
             children = []
             while not self.at(")"):
                 children.append(self.parse_expr(context))
-                if self.at(","):
-                    self.next()
+                self.accept(",")
             self.expect(")")
             return _CONNECTIVES[keyword](context, tuple(children))
         if keyword == "not":
@@ -495,18 +433,15 @@ class Parser:
             return implication(lhs, rhs)
         if keyword in ("exists", "forall"):
             self.next()
-            guard = Top(context)
-            if self.at("given"):
-                self.next()
-                guard = self.parse_expr(context)
+            guard = self.parse_expr(context) if self.accept("given") \
+                else Top(context)
             self.expect("(")
             shift = self.parse_shift(context)
             self.expect(")")
             self.expect(".")
             body = self.parse_expr(shift.cod)
             return _CONNECTIVES[keyword](context, guard, shift, body)
-        self.error("found %r" % (tok.value or "end of input"),
-                   ["a condition expression"])
+        self.unexpected("a condition expression")
 
     def parse_constraint_decl(self):
         self.expect("constraint")
@@ -514,12 +449,9 @@ class Parser:
         self.expect("=")
         self.expect("(")
         cond_name = self.expect_name()
-        if cond_name not in self.doc.conditions:
-            raise ResolutionError("unknown condition %r" % cond_name)
-        cond = self.doc.conditions[cond_name]
+        cond = self.doc.lookup("condition", cond_name)
         self.expect(",")
-        if self.at("initial"):
-            self.next()
+        if self.accept("initial"):
             if not cond.context.is_empty():
                 raise ValidationError(
                     "constraint %r: an initial anchor needs a closed condition"
@@ -527,15 +459,13 @@ class Parser:
             anchor_name, anchor = None, None
         else:
             anchor_name = self.expect_name()
-            if anchor_name not in self.doc.morphisms:
-                raise ResolutionError("unknown morphism %r" % anchor_name)
-            anchor = self.doc.morphisms[anchor_name]
+            anchor = self.doc.lookup("morphism", anchor_name)
             if anchor.dom != cond.context:
                 raise ValidationError(
                     "constraint %r: anchor does not start at the condition context"
                     % name)
         self.expect(")")
-        self._declare("constraints", name,
+        self._declare("constraint", name,
                       ConstraintDecl(cond_name, cond, anchor_name, anchor))
 
     def parse_rule_decl(self):
@@ -543,25 +473,17 @@ class Parser:
         name = self.expect_name()
         self.expect("=")
         self.expect("morphism")
-        mname = self.expect_name()
-        if mname not in self.doc.morphisms:
-            raise ResolutionError("unknown morphism %r" % mname)
+        m = self.doc.lookup("morphism", self.expect_name())
         self.expect("from")
-        lhs_name = self.expect_name()
+        lhs = self.doc.lookup("sketch", self.expect_name())
         self.expect("to")
-        rhs_name = self.expect_name()
-        for sk in (lhs_name, rhs_name):
-            if sk not in self.doc.sketches:
-                raise ResolutionError("unknown sketch %r" % sk)
-        lhs = self.doc.sketches[lhs_name]
-        rhs = self.doc.sketches[rhs_name]
-        m = self.doc.morphisms[mname]
+        rhs = self.doc.lookup("sketch", self.expect_name())
         try:
             SketchMorphism(lhs, rhs, m)
         except MismatchError as exc:
             raise ValidationError("rule %r: %s" % (name, exc)) from exc
         image = {translate_statement(m, s) for s in lhs.statements}
-        self._declare("rules", name,
+        self._declare("rule", name,
                       Rule(lhs, rhs, m, frozenset(rhs.statements - image)))
 
 
@@ -593,16 +515,22 @@ def _q(name: str) -> str:
     return '"%s"' % name
 
 
-def _format_graph_body(g: Graph, indent: str = "  ") -> str:
+def _declarations(g: Graph, base: Graph = EMPTY_GRAPH) -> List[str]:
+    """The ``nodes ...;`` and ``edges ...;`` lines that add ``g`` to
+    ``base``; the inverse of ``Parser.parse_graph_body``."""
+    nodes, edges = sorted(g.nodes - base.nodes), sorted(g.edges - base.edges)
     lines = []
-    if g.nodes:
-        lines.append("%snodes %s;"
-                     % (indent, " ".join(_q(n) for n in sorted(g.nodes))))
-    if g.edges:
-        entries = ", ".join("%s: %s -> %s" % (_q(e), _q(g.src[e]), _q(g.tgt[e]))
-                            for e in sorted(g.edges))
-        lines.append("%sedges %s;" % (indent, entries))
-    return "{\n%s\n}" % "\n".join(lines) if lines else "{ }"
+    if nodes:
+        lines.append("nodes %s;" % " ".join(_q(n) for n in nodes))
+    if edges:
+        lines.append("edges %s;" % ", ".join(
+            "%s: %s -> %s" % (_q(e), _q(g.src[e]), _q(g.tgt[e])) for e in edges))
+    return lines
+
+
+def _format_graph_body(g: Graph) -> str:
+    lines = _declarations(g)
+    return "{\n%s\n}" % "\n".join("  " + x for x in lines) if lines else "{ }"
 
 
 def _is_inclusion(m: GraphMorphism) -> bool:
@@ -640,15 +568,15 @@ class _Printer:
         if g not in self.graph_names:
             name = self._fresh(self.graph_hints.get(g), "graph")
             self.graph_names[g] = name
-            self.extra.append("graph %s %s" % (name, _format_graph_body(g)))
-        return self.graph_names[g]
+            self.extra.append("graph %s %s" % (_q(name), _format_graph_body(g)))
+        return _q(self.graph_names[g])
 
     def morphism_name(self, m: GraphMorphism) -> str:
         if m not in self.morphism_names:
             name = self._fresh(self.morphism_hints.get(m), "morphism")
             self.morphism_names[m] = name
             self.extra.append(self.format_morphism(name, m))
-        return self.morphism_names[m]
+        return _q(self.morphism_names[m])
 
     def format_morphism(self, name: str, m: GraphMorphism) -> str:
         dom = self.graph_name(m.dom)
@@ -666,7 +594,7 @@ class _Printer:
                 "%s -> %s" % (_q(e), _q(m.edge_map[e]))
                 for e in sorted(m.dom.edges)))
         body = "{\n%s\n}" % "\n".join(lines) if lines else "{ }"
-        return "morphism %s : %s -> %s %s" % (name, dom, cod, body)
+        return "morphism %s : %s -> %s %s" % (_q(name), dom, cod, body)
 
     def format_statement(self, s: Statement) -> str:
         entries = []
@@ -677,21 +605,11 @@ class _Printer:
             covered.update((arity.src[e], arity.tgt[e]))
         for n in sorted(arity.nodes - covered):
             entries.append("%s -> %s" % (_q(n), _q(s.binding.node_map[n])))
-        return "stmt %s via { %s }" % (s.predicate.name, ", ".join(entries))
+        return "stmt %s via { %s }" % (_q(s.predicate.name), ", ".join(entries))
 
     def format_shift(self, m: GraphMorphism) -> str:
         if _is_inclusion(m):
-            new_nodes = m.cod.nodes - m.dom.nodes
-            new_edges = m.cod.edges - m.dom.edges
-            lines = []
-            if new_nodes:
-                lines.append("nodes %s;"
-                             % " ".join(_q(n) for n in sorted(new_nodes)))
-            if new_edges:
-                lines.append("edges %s;" % ", ".join(
-                    "%s: %s -> %s" % (_q(e), _q(m.cod.src[e]), _q(m.cod.tgt[e]))
-                    for e in sorted(new_edges)))
-            return "extend { %s }" % " ".join(lines)
+            return "extend { %s }" % " ".join(_declarations(m.cod, m.dom))
         return self.morphism_name(m)
 
     def format_expr(self, c: Condition) -> str:
@@ -720,9 +638,9 @@ class _Printer:
         raise TypeError("unknown condition node %r" % type(c).__name__)
 
     def format_footprint(self, name: str, fp: Footprint) -> str:
-        lines = ["  pred %s arity %s;" % (p.name, self.graph_name(p.arity))
+        lines = ["  pred %s arity %s;" % (_q(p.name), self.graph_name(p.arity))
                  for p in fp]
-        return "footprint %s {\n%s\n}" % (name, "\n".join(lines))
+        return "footprint %s {\n%s\n}" % (_q(name), "\n".join(lines))
 
     def format_sketch(self, name: str, sk: Sketch) -> str:
         fp_name = None
@@ -737,7 +655,7 @@ class _Printer:
         lines = ["  %s;" % self.format_statement(s)
                  for s in sk.sorted_statements()]
         body = "{\n%s\n}" % "\n".join(lines) if lines else "{ }"
-        return "sketch %s over %s on %s %s" % (name, fp_name,
+        return "sketch %s over %s on %s %s" % (_q(name), _q(fp_name),
                                                self.graph_name(sk.context), body)
 
 
@@ -754,7 +672,7 @@ def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
     for name in doc.graphs:
         printer.graph_names.setdefault(doc.graphs[name], name)
     for name, g in doc.graphs.items():
-        emit("graph %s %s" % (name, _format_graph_body(g)))
+        emit("graph %s %s" % (_q(name), _format_graph_body(g)))
     for name, fp in doc.footprints.items():
         emit(printer.format_footprint(name, fp))
     for name, m in doc.morphisms.items():
@@ -762,12 +680,12 @@ def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
     for name, sk in doc.sketches.items():
         emit(printer.format_sketch(name, sk))
     for name, cond in doc.conditions.items():
-        text = "condition %s over %s = %s" % (
-            name, printer.graph_name(cond.context), printer.format_expr(cond))
-        emit(text)
+        emit("condition %s over %s = %s" % (
+            _q(name), printer.graph_name(cond.context), printer.format_expr(cond)))
     for name, decl in doc.constraints.items():
-        anchor = decl.anchor_name if decl.anchor_name is not None else "initial"
-        emit("constraint %s = (%s, %s)" % (name, decl.condition_name, anchor))
+        anchor = "initial" if decl.anchor_name is None else _q(decl.anchor_name)
+        emit("constraint %s = (%s, %s)"
+             % (_q(name), _q(decl.condition_name), anchor))
     for name, rule in doc.rules.items():
         mname = printer.morphism_name(rule.morphism)
         lhs_name = rhs_name = None
@@ -783,7 +701,7 @@ def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
             rhs_name = "sketch_%s_rhs" % name
             printer.extra.append(printer.format_sketch(rhs_name, rule.rhs))
         emit("rule %s = morphism %s from %s to %s"
-             % (name, mname, lhs_name, rhs_name))
+             % (_q(name), mname, _q(lhs_name), _q(rhs_name)))
     chunks.extend(printer.extra)
     return "\n\n".join(chunks) + "\n"
 

@@ -75,6 +75,23 @@ class TestCheck:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--constraint", "nope"], "unknown constraint 'nope'"),
+    (["check", "--sketch", "nope"], "unknown sketch 'nope'"),
+    (["repair", "--rules", "nope"], "unknown rule 'nope'"),
+    (["translate", "--condition", "nope", "--along", "t1"],
+     "unknown condition 'nope'"),
+    (["translate", "--condition", "phi1", "--along", "nope"],
+     "unknown morphism 'nope'"),
+    (["pushout", "--span", "alpha3", "nope"], "unknown morphism 'nope'"),
+    (["pullback", "--cospan", "nope", "t2"], "unknown morphism 'nope'"),
+])
+def test_unknown_name_exits_two(corpus, capsys, argv, message):
+    code = main([argv[0], *corpus, *argv[1:]])
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 class TestRepair:
     def test_repair_to_fixpoint(self, corpus, capsys, tmp_path):
         out_path = tmp_path / "repaired.sketch"
@@ -170,8 +187,9 @@ class TestDeduce:
         script.write_text("assume nope initial as x\n")
         code = main(["deduce", *corpus, "--sketch", "Gprime",
                      "--script", str(script)])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2
+        assert err == "error: line 1: unknown condition 'nope'\n"
 
     def test_inst_accepts_quoted_names(self, corpus, tmp_path, capsys):
         script = tmp_path / "script.txt"
