@@ -5,21 +5,18 @@ from .graphs import (Graph, GraphMorphism, MismatchError, NotInvertibleError,
                      graph_of, identity, invert, is_isomorphism,
                      is_monomorphism, morphism_of, validate_graph)
 from .category import (PullbackResult, PushoutResult, initial_graph,
-                       initial_morphism, pullback, pushout, verify_pullback,
-                       verify_pushout)
+                       initial_morphism, pullback, pushout)
 from .sketches import (Footprint, MultiSketch, MultiSketchMorphism,
                        PredicateSymbol, Sketch, SketchMorphism, Statement,
                        is_sketch_morphism, multi_pullback, multi_pushout,
-                       sketch_pullback, sketch_pushout, sketches_isomorphic,
-                       translate_statement)
+                       sketch_pullback, sketch_pushout, translate_statement)
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          Junction, Not, Or, Quantifier, Stmt, Top, Verdict,
-                         check_constraint, conditions_equal_modulo_renaming,
-                         conj, implication, is_closed, nuc, satisfies,
-                         statements_conj, stmt, uc, unguarded_exists,
-                         unguarded_forall, violating_extensions, well_formed)
-from .translation import (chosen_pushout, shift_equivalence_oracle,
-                          translate_condition)
+                         check_constraint, conj, implication, is_closed, nuc,
+                         satisfies, statements_conj, stmt, uc,
+                         unguarded_exists, unguarded_forall,
+                         violating_extensions, well_formed)
+from .translation import chosen_pushout, translate_condition
 from .deduction import (CertificationError, ConstrainedSketch, Rule,
                         RuleShapeError, apply_rule, conj_elim, conj_intro,
                         cstr_translate, find_matches, modus_ponens,
@@ -30,6 +27,9 @@ from .ct import (CT_FOOTPRINT, build_ct_fixtures, colimit_condition,
                  monic_stmt, unfold)
 from .dsl import (Document, ParseError, ResolutionError, ValidationError,
                   format_condition, parse, parse_files, print_document)
+from .oracles import (conditions_equal_modulo_renaming, default_test_graphs,
+                      shift_equivalence_oracle, sketches_isomorphic,
+                      verify_pullback, verify_pushout)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

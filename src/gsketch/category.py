@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError, compose,
-                     enumerate_morphisms, graph_of)
+from .graphs import EMPTY_GRAPH, Graph, GraphMorphism, MismatchError
 
 
 @dataclass(frozen=True)
@@ -135,65 +134,3 @@ def pullback(m: GraphMorphism, r: GraphMorphism) -> PullbackResult:
         {pair_name(p): p[1] for p in edge_pairs})
     return PullbackResult(d, left, right)
 
-
-def default_test_graphs() -> list:
-    """Small mediator test pool for universal-property verification."""
-    return [
-        graph_of(),
-        graph_of("x"),
-        graph_of("x y"),
-        graph_of("", "k:x->y"),
-        graph_of("", "k:x->x"),
-        graph_of("", "k:x->y l:x->y"),
-        graph_of("", "k:x->y l:y->z"),
-    ]
-
-
-def verify_pushout(m: GraphMorphism, r: GraphMorphism,
-                   candidate: PushoutResult, test_graphs=None) -> bool:
-    """Check commutativity and the pushout universal property.
-
-    The mediator quantification runs over a finite pool of test cospans drawn
-    from ``test_graphs`` (a desk-scale approximation of the full property).
-    """
-    if candidate.left.dom != m.cod or candidate.right.dom != r.cod:
-        return False
-    if compose(m, candidate.left) != compose(r, candidate.right):
-        return False
-    d = candidate.object
-    for t in (test_graphs if test_graphs is not None else default_test_graphs()):
-        homs_d = enumerate_morphisms(d, t)
-        for f in enumerate_morphisms(m.cod, t):
-            mf = compose(m, f)
-            for g in enumerate_morphisms(r.cod, t):
-                if mf != compose(r, g):
-                    continue
-                mediators = [u for u in homs_d
-                             if compose(candidate.left, u) == f
-                             and compose(candidate.right, u) == g]
-                if len(mediators) != 1:
-                    return False
-    return True
-
-
-def verify_pullback(m: GraphMorphism, r: GraphMorphism,
-                    candidate: PullbackResult, test_graphs=None) -> bool:
-    """Check commutativity and the pullback universal property (bounded pool)."""
-    if candidate.left.cod != m.dom or candidate.right.cod != r.dom:
-        return False
-    if compose(candidate.left, m) != compose(candidate.right, r):
-        return False
-    d = candidate.object
-    for t in (test_graphs if test_graphs is not None else default_test_graphs()):
-        homs_d = enumerate_morphisms(t, d)
-        for f in enumerate_morphisms(t, m.dom):
-            fm = compose(f, m)
-            for g in enumerate_morphisms(t, r.dom):
-                if fm != compose(g, r):
-                    continue
-                mediators = [u for u in homs_d
-                             if compose(u, candidate.left) == f
-                             and compose(u, candidate.right) == g]
-                if len(mediators) != 1:
-                    return False
-    return True

@@ -209,7 +209,8 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
 
     for lineno, raw in enumerate(lines, start=1):
         try:
-            p = Parser(raw, doc)
+            # leading newlines put parser locations on the script's line
+            p = Parser("\n" * (lineno - 1) + raw, doc)
             if p.peek().kind == "eof":
                 continue
             op = p.expect_name()

@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .category import initial_morphism
-from .graphs import (Graph, GraphMorphism, MismatchError, compose,
-                     enumerate_extensions, enumerate_morphisms_extending,
-                     identity, is_isomorphism, is_monomorphism)
+from .graphs import (Graph, GraphMorphism, MismatchError, enumerate_extensions,
+                     identity)
 from .sketches import (Sketch, SketchMorphism, Statement, statement_key,
                        translate_statement)
 
@@ -222,14 +221,10 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def satisfies(t: GraphMorphism, g: Sketch, c: Condition, *,
-              restrict_to_monos: bool = False,
               budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Evaluate t |= c relative to the sketch g.
-
-    ``restrict_to_monos`` restricts quantifier extensions to monomorphisms.
-    """
+    """Evaluate t |= c relative to the sketch g."""
     _validate(t, g, c)
-    return _eval(t, g, c, restrict_to_monos, _Budget(budget))
+    return _eval(t, g, c, _Budget(budget))
 
 
 def _validate(t, g, c):
@@ -240,14 +235,7 @@ def _validate(t, g, c):
         raise IllFormedConditionError("; ".join(problems))
 
 
-def _extensions(a, t, restrict):
-    rs = enumerate_extensions(a, t)
-    if restrict:
-        rs = [r for r in rs if is_monomorphism(r)]
-    return rs
-
-
-def _eval(t, g, c, restrict, budget) -> Verdict:
+def _eval(t, g, c, budget) -> Verdict:
     budget.spend()
     if isinstance(c, Stmt):
         return Verdict(translate_statement(t, c.statement) in g.statements)
@@ -258,18 +246,18 @@ def _eval(t, g, c, restrict, budget) -> Verdict:
     if isinstance(c, Junction):
         decisive = isinstance(c, Or)  # the child value that settles the node
         for child in c.children:
-            v = _eval(t, g, child, restrict, budget)
+            v = _eval(t, g, child, budget)
             if v.holds == decisive:
                 return Verdict(decisive, inner=v)
         return Verdict(not decisive)
     if isinstance(c, Not):
-        return Verdict(not _eval(t, g, c.child, restrict, budget).holds)
+        return Verdict(not _eval(t, g, c.child, budget).holds)
     if isinstance(c, Quantifier):
-        if not _eval(t, g, c.guard, restrict, budget).holds:
+        if not _eval(t, g, c.guard, budget).holds:
             return Verdict(True)
         decisive = isinstance(c, Exists)  # the body value that settles it
-        for r in _extensions(c.shift, t, restrict):
-            v = _eval(r, g, c.body, restrict, budget)
+        for r in enumerate_extensions(c.shift, t):
+            v = _eval(r, g, c.body, budget)
             if v.holds == decisive:
                 return (Verdict(True, witness=r, inner=v) if decisive
                         else Verdict(False, counterexample=r, inner=v))
@@ -277,15 +265,13 @@ def _eval(t, g, c, restrict, budget) -> Verdict:
     raise TypeError("unknown condition node %r" % type(c).__name__)
 
 
-def check_constraint(g: Sketch, k: Constraint, *,
-                     restrict_to_monos: bool = False) -> Verdict:
+def check_constraint(g: Sketch, k: Constraint) -> Verdict:
     if k.anchor.cod != g.context:
         raise MismatchError("constraint anchor does not land in the sketch context")
-    return satisfies(k.anchor, g, k.condition, restrict_to_monos=restrict_to_monos)
+    return satisfies(k.anchor, g, k.condition)
 
 
-def violating_extensions(t: GraphMorphism, g: Sketch, c: Forall, *,
-                         restrict_to_monos: bool = False) -> list:
+def violating_extensions(t: GraphMorphism, g: Sketch, c: Forall) -> list:
     """The counterexample extensions r: M -> G, a;r = t, of a universal
     condition, in canonical order; none if the guard fails at t.  The
     condition is checked for well-formedness once, and the guard and every
@@ -294,10 +280,10 @@ def violating_extensions(t: GraphMorphism, g: Sketch, c: Forall, *,
         raise TypeError("expected a universally quantified condition")
     _validate(t, g, c)
     budget = _Budget(DEFAULT_BUDGET)
-    if not _eval(t, g, c.guard, restrict_to_monos, budget).holds:
+    if not _eval(t, g, c.guard, budget).holds:
         return []
-    return [r for r in _extensions(c.shift, t, restrict_to_monos)
-            if not _eval(r, g, c.body, restrict_to_monos, budget).holds]
+    return [r for r in enumerate_extensions(c.shift, t)
+            if not _eval(r, g, c.body, budget).holds]
 
 
 def uc(rule: SketchMorphism) -> Condition:
@@ -322,53 +308,3 @@ def nuc(rule: SketchMorphism) -> Condition:
 def is_closed(c: Condition) -> bool:
     return c.context.is_empty()
 
-
-def conditions_equal_modulo_renaming(a: Condition, b: Condition) -> bool:
-    """Structural equality of two conditions up to consistent renaming of all
-    context elements.
-
-    Walks both trees in parallel; quantifier shifts force partial
-    correspondences between the codomain contexts, and remaining elements are
-    matched by a bounded isomorphism search.
-    """
-    def isos_extending(ga, gb, node_seed, edge_seed):
-        for m in enumerate_morphisms_extending(ga, gb, node_seed, edge_seed):
-            if is_isomorphism(m):
-                yield m
-
-    def walk(na, nb, corr):
-        # corr: GraphMorphism a.context -> b.context (an isomorphism)
-        if type(na) is not type(nb):
-            return False
-        if isinstance(na, Stmt):
-            sa, sb = na.statement, nb.statement
-            if sa.predicate.name != sb.predicate.name:
-                return False
-            if sa.predicate.arity != sb.predicate.arity:
-                return False
-            return (compose(sa.binding, corr) == sb.binding)
-        if isinstance(na, Quantifier):
-            if not walk(na.guard, nb.guard, corr):
-                return False
-            ma, mb = na.shift.cod, nb.shift.cod
-            if len(ma.nodes) != len(mb.nodes) or len(ma.edges) != len(mb.edges):
-                return False
-            node_seed, edge_seed = {}, {}
-            for k in na.shift.dom.nodes:
-                img = nb.shift.node_map[corr.node_map[k]]
-                if node_seed.setdefault(na.shift.node_map[k], img) != img:
-                    return False
-            for k in na.shift.dom.edges:
-                img = nb.shift.edge_map[corr.edge_map[k]]
-                if edge_seed.setdefault(na.shift.edge_map[k], img) != img:
-                    return False
-            for corr2 in isos_extending(ma, mb, node_seed, edge_seed):
-                if walk(na.body, nb.body, corr2):
-                    return True
-            return False
-        subs_a, subs_b = na.subconditions(), nb.subconditions()
-        return len(subs_a) == len(subs_b) and all(
-            walk(x, y, corr) for x, y in zip(subs_a, subs_b))
-
-    return any(walk(a, b, corr)
-               for corr in isos_extending(a.context, b.context, {}, {}))

@@ -5,13 +5,13 @@ constraint translation along sketch morphisms).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Tuple
+from typing import Iterable
 
 from .category import initial_morphism
-from .conditions import (And, Condition, Constraint, Exists, Forall, Not,
-                         Stmt, Top, check_constraint, conj, satisfies,
+from .conditions import (And, Condition, Constraint, Exists, Forall, Stmt,
+                         Top, check_constraint, conj, satisfies,
                          statements_conj, uc, unguarded_exists,
                          violating_extensions)
 from .graphs import GraphMorphism, MismatchError, compose, identity
@@ -67,15 +67,6 @@ class Rule:
         """``uc`` of the rule's sketch morphism: its matches are the
         violations of this closed condition."""
         return uc(self.as_sketch_morphism())
-
-    def nac_condition(self) -> Condition:
-        """The negative application condition: no completion along the rule."""
-        return Not(self.lhs.context, unguarded_exists(
-            self.morphism,
-            statements_conj(self.rhs.context, self.added_statements)))
-
-    def premise_condition(self) -> Condition:
-        return statements_conj(self.lhs.context, self.lhs.statements)
 
 
 def _statement_set(cond: Condition):
@@ -155,27 +146,17 @@ class RepairStep:
     t_star: SketchMorphism  # rule rhs -> result
 
 
-@dataclass
-class RepairTrace:
-    steps: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-
 def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
     """Repeatedly apply the first matching rule (rule order, then canonical
     match order), one application per iteration.
 
-    Returns ``(final sketch, trace, exhausted)``; ``exhausted`` is True when
-    the step bound was reached while some rule still matched.
+    Returns ``(final sketch, steps, exhausted)``: ``steps`` is the list of
+    :class:`RepairStep` in firing order, and ``exhausted`` is True when the
+    step bound was reached while some rule still matched.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    trace = RepairTrace()
+    steps = []
     current = g
     for _ in range(max_steps):
         fired = False
@@ -183,15 +164,14 @@ def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
             matches = find_matches(rule, current)
             if matches:
                 h, a_star, t_star = apply_rule(rule, matches[0], current)
-                trace.steps.append(
-                    RepairStep(rule, matches[0], h, a_star, t_star))
+                steps.append(RepairStep(rule, matches[0], h, a_star, t_star))
                 current = h
                 fired = True
                 break
         if not fired:
-            return current, trace, False
+            return current, steps, False
     exhausted = any(find_matches(rule, current) for rule in rules)
-    return current, trace, exhausted
+    return current, steps, exhausted
 
 
 def universal_elim(k: Constraint, t: GraphMorphism) -> Constraint:

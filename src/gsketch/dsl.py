@@ -203,6 +203,17 @@ class Parser:
             self.unexpected("a name")
         return self.next().value
 
+    def resolve(self, kind: str):
+        """Read a name and resolve it as a declaration of ``kind`` or, for
+        ``"predicate"``, a footprint predicate; errors name its position."""
+        tok = self.peek()
+        name = self.expect_name()
+        try:
+            return (self.doc.predicate(name) if kind == "predicate"
+                    else self.doc.lookup(kind, name))
+        except ResolutionError as exc:
+            raise ResolutionError(_located(tok, str(exc))) from None
+
     def section(self) -> str:
         """Read the ``nodes`` or ``edges`` keyword that opens a body section."""
         tok = self.peek()
@@ -235,8 +246,9 @@ class Parser:
         """Parse ``{ nodes ...; edges ... }``; returns ``base`` plus the
         declared nodes and edges.
 
-        Edge names must be new, and every edge endpoint must be a node of the
-        result: declared in the body or, for ``extend``, in the context.
+        Node and edge names must be new, also to the context of ``extend``,
+        and every edge endpoint must be a node of the result: declared in
+        the body or, for ``extend``, in the context.
         """
         brace = self.expect("{")
         nodes = set(base.nodes)
@@ -247,7 +259,11 @@ class Parser:
                 while (self.peek().kind == "quoted"
                        or (self.peek().kind == "ident"
                            and self.peek().value not in ("nodes", "edges"))):
-                    nodes.add(self.next().value)
+                    tok = self.next()
+                    if tok.value in nodes:
+                        raise ResolutionError(
+                            _located(tok, "duplicate node name %r" % tok.value))
+                    nodes.add(tok.value)
             else:
                 while True:
                     tok = self.peek()
@@ -278,7 +294,7 @@ class Parser:
     def graph_ref(self) -> Graph:
         if self.at("{"):
             return self.parse_graph_body()
-        return self.doc.lookup("graph", self.expect_name())
+        return self.resolve("graph")
 
     def parse_footprint_decl(self):
         self.expect("footprint")
@@ -294,11 +310,12 @@ class Parser:
         self.expect("}")
         self._declare("footprint", name, Footprint(preds))
 
-    def parse_pairs(self) -> List[Tuple[str, str]]:
-        """Parse ``x -> y, ...`` up to the first token that is not a name."""
-        pairs: List[Tuple[str, str]] = []
+    def parse_pairs(self) -> List[Tuple[_Token, str]]:
+        """Parse ``x -> y, ...`` up to the first token that is not a name;
+        each pair keeps the token of its left name."""
+        pairs: List[Tuple[_Token, str]] = []
         while self.peek().kind in ("ident", "quoted"):
-            a = self.next().value
+            a = self.next()
             self.expect("->")
             pairs.append((a, self.expect_name()))
             self.accept(",")
@@ -313,15 +330,15 @@ class Parser:
 
     def _split_assignments(self, pairs, dom: Graph, what: str):
         nodes, edges = {}, {}
-        for a, b in pairs:
-            if a in dom.nodes:
-                nodes[a] = b
-            elif a in dom.edges:
-                edges[a] = b
+        for tok, b in pairs:
+            if tok.value in dom.nodes:
+                nodes[tok.value] = b
+            elif tok.value in dom.edges:
+                edges[tok.value] = b
             else:
-                raise ResolutionError(
-                    "%s: %r is neither a node nor an edge of the domain"
-                    % (what, a))
+                raise ResolutionError(_located(
+                    tok, "%s: %r is neither a node nor an edge of the domain"
+                    % (what, tok.value)))
         return nodes, edges
 
     def parse_morphism_decl(self):
@@ -334,7 +351,8 @@ class Parser:
         self.expect("{")
         sections = {"nodes": {}, "edges": {}}
         while not self.at("}"):
-            sections[self.section()].update(self.parse_pairs())
+            sections[self.section()].update(
+                (tok.value, b) for tok, b in self.parse_pairs())
             self.accept(";")
         self.expect("}")
         try:
@@ -345,23 +363,22 @@ class Parser:
 
     def parse_statement(self, context: Graph) -> Statement:
         """Parse ``PRED via { x -> y, ... }`` into a statement over context."""
-        pname = self.expect_name()
-        pred = self.doc.predicate(pname)
+        pred = self.resolve("predicate")
         self.expect("via")
         nodes, edges = self._split_assignments(self.parse_assignments(),
                                                pred.arity,
-                                               "statement %r" % pname)
+                                               "statement %r" % pred.name)
         try:
             binding = morphism_of(pred.arity, context, nodes, edges)
         except MismatchError as exc:
-            raise ValidationError("statement %r: %s" % (pname, exc)) from exc
+            raise ValidationError("statement %r: %s" % (pred.name, exc)) from exc
         return Statement(pred, binding)
 
     def parse_sketch_decl(self):
         self.expect("sketch")
         name = self.expect_name()
         self.expect("over")
-        self.doc.lookup("footprint", self.expect_name())
+        self.resolve("footprint")
         self.expect("on")
         context = self.graph_ref()
         self.expect("{")
@@ -391,8 +408,8 @@ class Parser:
             return GraphMorphism(context, big,
                                  {n: n for n in context.nodes},
                                  {e: e for e in context.edges})
-        name = self.expect_name()
-        m = self.doc.lookup("morphism", name)
+        name = self.peek().value
+        m = self.resolve("morphism")
         if m.dom != context:
             raise ValidationError(
                 "morphism %r does not start at the current context" % name)
@@ -448,8 +465,8 @@ class Parser:
         name = self.expect_name()
         self.expect("=")
         self.expect("(")
-        cond_name = self.expect_name()
-        cond = self.doc.lookup("condition", cond_name)
+        cond_name = self.peek().value
+        cond = self.resolve("condition")
         self.expect(",")
         if self.accept("initial"):
             if not cond.context.is_empty():
@@ -458,8 +475,8 @@ class Parser:
                     % name)
             anchor_name, anchor = None, None
         else:
-            anchor_name = self.expect_name()
-            anchor = self.doc.lookup("morphism", anchor_name)
+            anchor_name = self.peek().value
+            anchor = self.resolve("morphism")
             if anchor.dom != cond.context:
                 raise ValidationError(
                     "constraint %r: anchor does not start at the condition context"
@@ -473,11 +490,11 @@ class Parser:
         name = self.expect_name()
         self.expect("=")
         self.expect("morphism")
-        m = self.doc.lookup("morphism", self.expect_name())
+        m = self.resolve("morphism")
         self.expect("from")
-        lhs = self.doc.lookup("sketch", self.expect_name())
+        lhs = self.resolve("sketch")
         self.expect("to")
-        rhs = self.doc.lookup("sketch", self.expect_name())
+        rhs = self.resolve("sketch")
         try:
             SketchMorphism(lhs, rhs, m)
         except MismatchError as exc:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .category import pullback, pushout, tagged_quotient
 from .graphs import (Graph, GraphMorphism, MismatchError, compose,
-                     enumerate_morphisms, validate_graph)
+                     validate_graph)
 
 
 @dataclass(frozen=True)
@@ -153,44 +153,40 @@ def sketch_pushout(m: SketchMorphism, r: SketchMorphism):
     return d, SketchMorphism(m.cod, d, po.left), SketchMorphism(r.cod, d, po.right)
 
 
+def paired_statement(sb: Statement, sa: Statement, d: Graph) -> Statement:
+    """The statement over a pullback object D that projects to ``sb`` in B
+    and to ``sa`` in A: each arity element goes to the pair ``b|a`` of its
+    two images.  Both statements share a predicate, and their images in the
+    cospan's codomain agree."""
+    arity = sb.predicate.arity
+    return Statement(sb.predicate, GraphMorphism(
+        arity, d,
+        {n: "%s|%s" % (sb.binding.node_map[n], sa.binding.node_map[n])
+         for n in arity.nodes},
+        {e: "%s|%s" % (sb.binding.edge_map[e], sa.binding.edge_map[e])
+         for e in arity.edges}))
+
+
 def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
     """Pullback in the category of sketches for the cospan B -m-> C <-r- A.
 
     Returns ``(D, m_star: D -> A, r_star: D -> B)``.  The statement set of D
     is the maximal one whose projections land in the statement sets of A and
-    B; it is enumerated per predicate over all bindings into D.
+    B.  A binding into D is exactly a pair of bindings, into B and into A,
+    that agree in C, so D pairs each statement of B with each statement of A
+    that has the same image in C.
     """
     if m.cod != r.cod:
         raise MismatchError("sketch pullback needs a cospan with a common codomain")
     pb = pullback(m.morphism, r.morphism)
     # pb.left: D -> B, pb.right: D -> A
-    preds_b = {s.predicate for s in m.dom.statements}
-    preds = sorted({s.predicate for s in r.dom.statements} & preds_b,
-                   key=lambda p: p.name)
-    statements = []
-    for p in preds:
-        for binding in enumerate_morphisms(p.arity, pb.object):
-            sigma = Statement(p, binding)
-            if (translate_statement(pb.right, sigma) in r.dom.statements
-                    and translate_statement(pb.left, sigma) in m.dom.statements):
-                statements.append(sigma)
-    d = Sketch(pb.object, statements)
+    over_c = {}
+    for sa in r.dom.statements:
+        over_c.setdefault(translate_statement(r.morphism, sa), []).append(sa)
+    d = Sketch(pb.object, [
+        paired_statement(sb, sa, pb.object) for sb in m.dom.statements
+        for sa in over_c.get(translate_statement(m.morphism, sb), ())])
     return d, SketchMorphism(d, r.dom, pb.right), SketchMorphism(d, m.dom, pb.left)
-
-
-def sketches_isomorphic(a: Sketch, b: Sketch) -> bool:
-    """True iff some context isomorphism maps the statement sets bijectively."""
-    from .graphs import is_isomorphism
-    if len(a.context.nodes) != len(b.context.nodes) or \
-       len(a.context.edges) != len(b.context.edges) or \
-       len(a.statements) != len(b.statements):
-        return False
-    for phi in enumerate_morphisms(a.context, b.context):
-        if not is_isomorphism(phi):
-            continue
-        if {translate_statement(phi, s) for s in a.statements} == b.statements:
-            return True
-    return False
 
 
 class MultiSketch:
@@ -287,15 +283,8 @@ def multi_pullback(m: MultiSketchMorphism, r: MultiSketchMorphism):
             if sb.predicate != sa.predicate:
                 raise MismatchError(
                     "internal error: identified statements disagree on predicate")
-            arity = sb.predicate.arity
-            binding = GraphMorphism(
-                arity, pb.object,
-                {n: "%s|%s" % (sb.binding.node_map[n], sa.binding.node_map[n])
-                 for n in arity.nodes},
-                {e: "%s|%s" % (sb.binding.edge_map[e], sa.binding.edge_map[e])
-                 for e in arity.edges})
             pair = "%s|%s" % (i, j)
-            stm[pair] = Statement(sb.predicate, binding)
+            stm[pair] = paired_statement(sb, sa, pb.object)
             id_left[pair] = i
             id_right[pair] = j
     d = MultiSketch(pb.object, stm)

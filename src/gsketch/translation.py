@@ -10,9 +10,9 @@ readable and makes identity translation structurally trivial.
 from __future__ import annotations
 
 from .category import pushout
-from .conditions import Condition, Quantifier, Stmt, satisfies
-from .graphs import (Graph, GraphMorphism, MismatchError, compose,
-                     enumerate_morphisms, identity, invert, is_isomorphism)
+from .conditions import Condition, Quantifier, Stmt
+from .graphs import (GraphMorphism, MismatchError, compose, identity, invert,
+                     is_isomorphism)
 from .sketches import translate_statement
 
 
@@ -43,18 +43,3 @@ def translate_condition(c: GraphMorphism, cond: Condition) -> Condition:
     return cond.rebuild(h, [translate_condition(c, x)
                             for x in cond.subconditions()])
 
-
-def shift_equivalence_oracle(c: GraphMorphism, cond: Condition,
-                             sample_sketches) -> bool:
-    """Semantic check of translation: for every sample sketch G and every
-    t: H -> G, t satisfies the translated condition iff c;t satisfies the
-    original.  Returns whether all anchors agree.
-    """
-    translated = translate_condition(c, cond)
-    for g in sample_sketches:
-        for t in enumerate_morphisms(c.cod, g.context):
-            lhs = satisfies(t, g, translated).holds
-            rhs = satisfies(compose(c, t), g, cond).holds
-            if lhs != rhs:
-                return False
-    return True

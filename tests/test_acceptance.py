@@ -8,14 +8,12 @@ import random
 
 import pytest
 
-from gsketch.category import initial_morphism, verify_pullback, verify_pushout
+from gsketch.category import initial_morphism
 from gsketch.category import PullbackResult, PushoutResult
 from gsketch.cli import main as cli_main
 from gsketch.conditions import (And, Constraint, Exists, Forall, Top,
-                                check_constraint,
-                                conditions_equal_modulo_renaming, nuc,
-                                satisfies, statements_conj, uc,
-                                violating_extensions)
+                                check_constraint, nuc, satisfies,
+                                statements_conj, uc, violating_extensions)
 from gsketch.ct import COMP, MONIC, comp_stmt, limit_condition, monic_stmt
 from gsketch.deduction import (ConstrainedSketch, conj_elim, conj_intro,
                                cstr_translate, modus_ponens,
@@ -28,9 +26,11 @@ from gsketch.graphs import (enumerate_extensions, enumerate_morphisms,
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
                               is_sketch_morphism, multi_pullback,
                               multi_pushout, sketch_pullback, sketch_pushout,
-                              sketches_isomorphic, translate_statement,
-                              MultiSketch, MultiSketchMorphism)
-from gsketch.translation import shift_equivalence_oracle
+                              translate_statement, MultiSketch,
+                              MultiSketchMorphism)
+from gsketch.oracles import (conditions_equal_modulo_renaming,
+                             shift_equivalence_oracle, sketches_isomorphic,
+                             verify_pullback, verify_pushout)
 
 from test_conditions import direct_nuc_holds, direct_uc_holds
 

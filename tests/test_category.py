@@ -1,11 +1,12 @@
 import pytest
 
-from gsketch.category import (PushoutResult, default_test_graphs,
-                              initial_graph, initial_morphism, pullback,
-                              pushout, verify_pullback, verify_pushout)
+from gsketch.category import (PushoutResult, initial_graph, initial_morphism,
+                              pullback, pushout)
 from gsketch.graphs import (EMPTY_GRAPH, MismatchError, compose,
                             enumerate_morphisms, graph_of, identity,
                             is_isomorphism, morphism_of)
+from gsketch.oracles import (default_test_graphs, verify_pullback,
+                             verify_pushout)
 
 G = graph_of("", "a:1->2 b:2->3 c:3->4 d:4->5 e:1->3 f:1->3 g:3->5")
 

@@ -191,6 +191,18 @@ class TestDeduce:
         assert code == 2
         assert err == "error: line 1: unknown condition 'nope'\n"
 
+    def test_unknown_name_in_a_step_is_located_on_its_line(self, corpus,
+                                                            tmp_path, capsys):
+        script = tmp_path / "script.txt"
+        script.write_text("assume phi3 initial as unique\n"
+                          "inst monic via { zz -> b } def phi7 as x\n")
+        code = main(["deduce", *corpus, "--sketch", "Gprime",
+                     "--script", str(script)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: line 2, column 18: statement 'monic': 'zz' is "
+            "neither a node nor an edge of the domain\n")
+
     def test_inst_accepts_quoted_names(self, corpus, tmp_path, capsys):
         script = tmp_path / "script.txt"
         script.write_text('inst monic via { "e" -> "b" } def phi7 as mono_b\n')

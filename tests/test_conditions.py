@@ -3,8 +3,7 @@ import pytest
 from gsketch.category import initial_morphism
 from gsketch.conditions import (And, Bottom, Constraint, EvaluationBudgetExceeded,
                                 Exists, Forall, IllFormedConditionError, Not,
-                                Or, Stmt, Top, check_constraint,
-                                conditions_equal_modulo_renaming, conj,
+                                Or, Stmt, Top, check_constraint, conj,
                                 implication, is_closed, nuc, satisfies,
                                 statements_conj, stmt, uc, unguarded_exists,
                                 unguarded_forall, violating_extensions,
@@ -15,6 +14,7 @@ from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
                             morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
                               is_sketch_morphism, translate_statement)
+from gsketch.oracles import conditions_equal_modulo_renaming
 
 
 class TestWellFormed:
@@ -195,21 +195,17 @@ class TestEvaluatorLaws:
             satisfies(initial_morphism(fx.graph_g), fx.sketch_g,
                       fx.conditions["phi2"], budget=3)
 
-    def test_restrict_to_monos(self, fx):
-        # a non-injective witness is the only completion of this square
+    def test_non_injective_extension_is_a_witness(self, fx):
+        # quantifiers range over all extensions, not only monomorphisms: in
+        # G' the only completion of this square sends q onto p's image
         square = graph_of("", "p:x->y q:x->y")
         point = graph_of("", "p:x->y")
-        incl = morphism_of(point, square, edges={"p": "p"})
-        body = Top(square)
-        t = morphism_of(point, fx.graph_g, edges={"p": "e"})
-        c = unguarded_exists(incl, body)
-        assert satisfies(t, fx.sketch_g, c).holds
-        assert satisfies(t, fx.sketch_g, c, restrict_to_monos=True).holds
-        # force q to collapse onto p's image: still a witness unless monos only
-        tf = morphism_of(point, fx.sketch_g_prime.context, edges={"p": "e"})
+        c = unguarded_exists(morphism_of(point, square, edges={"p": "p"}),
+                             Top(square))
         gp = fx.sketch_g_prime
-        assert satisfies(tf, gp, c).holds
-        assert not satisfies(tf, gp, c, restrict_to_monos=True).holds
+        t = morphism_of(point, gp.context, edges={"p": "e"})
+        v = satisfies(t, gp, c)
+        assert v.holds and v.witness.edge_map == {"p": "e", "q": "e"}
 
 
 def direct_uc_holds(rule, g):

@@ -1,14 +1,14 @@
 import pytest
 
 from gsketch.conditions import (And, Exists, Forall, Stmt, Top, conj,
-                                conditions_equal_modulo_renaming, is_closed,
-                                stmt, unguarded_exists, unguarded_forall,
-                                well_formed)
+                                is_closed, stmt, unguarded_exists,
+                                unguarded_forall, well_formed)
 from gsketch.ct import (COMP, CT_FOOTPRINT, FINAL, ID, MONIC, ConeContexts,
                         colimit_condition, comp_stmt, cone_contexts,
                         final_stmt, limit_condition, monic_stmt, unfold)
 from gsketch.graphs import (EMPTY_GRAPH, compose, graph_of, identity,
                             morphism_of)
+from gsketch.oracles import conditions_equal_modulo_renaming
 from gsketch.sketches import Statement
 
 SHAPES = {

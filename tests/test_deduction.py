@@ -2,7 +2,7 @@ import pytest
 
 from gsketch import conditions, deduction, sketches
 from gsketch.category import initial_morphism
-from gsketch.conditions import (And, Constraint, Exists, Forall, Top,
+from gsketch.conditions import (And, Constraint, Exists, Forall, Not, Top,
                                 check_constraint, implication, satisfies, stmt,
                                 statements_conj, uc, unguarded_exists,
                                 unguarded_forall, well_formed)
@@ -17,8 +17,7 @@ from gsketch.deduction import (CertificationError, ConstrainedSketch,
 from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
                             morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
-                              is_sketch_morphism, sketches_isomorphic,
-                              translate_statement)
+                              is_sketch_morphism, translate_statement)
 
 
 def rule3(fx):
@@ -29,10 +28,22 @@ def rule6(fx):
     return rule_from_condition(fx.conditions["phi6"])
 
 
+def premise_condition(rule):
+    """The rule's premise: the conjunction of its lhs statements, over L."""
+    return statements_conj(rule.lhs.context, rule.lhs.statements)
+
+
+def nac_condition(rule):
+    """The negative application condition: no completion along the rule."""
+    return Not(rule.lhs.context, unguarded_exists(
+        rule.morphism,
+        statements_conj(rule.rhs.context, rule.added_statements)))
+
+
 def reference_matches(rule, g):
     """Enumerate every L -> G, keep those where the premise and the negative
     application condition hold."""
-    premise, nac = rule.premise_condition(), rule.nac_condition()
+    premise, nac = premise_condition(rule), nac_condition(rule)
     return [t for t in enumerate_morphisms(rule.lhs.context, g.context)
             if satisfies(t, g, premise).holds and satisfies(t, g, nac).holds]
 
@@ -91,10 +102,9 @@ class TestRuleShapes:
 
     def test_nac_and_premise_shape(self, fx):
         r = rule3(fx)
-        nac = r.nac_condition()
-        assert nac.context == r.lhs.context
-        assert r.premise_condition() == statements_conj(
-            r.lhs.context, r.lhs.statements)
+        assert nac_condition(r).context == r.lhs.context
+        assert well_formed(nac_condition(r)) == []
+        assert premise_condition(r).context == r.lhs.context
 
 
 class TestMatches:
@@ -233,7 +243,7 @@ class TestApply:
         # conclusion is there now, so the negative application condition
         # blocks it
         carried = compose(match, a_star.morphism)
-        assert satisfies(carried, h, r.premise_condition()).holds
+        assert satisfies(carried, h, premise_condition(r)).holds
         with pytest.raises(MismatchError):
             apply_rule(r, carried, h)
 

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsketch.conditions import (And, Bottom, Exists, Forall, Not, Or, Top,
-                                conditions_equal_modulo_renaming)
+from gsketch.conditions import And, Bottom, Exists, Forall, Not, Or, Top
 from gsketch.dsl import (KEYWORDS, ConstraintDecl, Document, ParseError,
                          ResolutionError, ValidationError, _tokenize,
                          format_condition, parse, parse_files, print_document)
 from gsketch.graphs import Graph, GraphMorphism, graph_of
+from gsketch.oracles import conditions_equal_modulo_renaming
 
 BASE = """
 graph Arrow { nodes v1 v2; edges e: v1 -> v2; }
@@ -115,6 +115,20 @@ class TestDiagnostics:
             % want
 
     @pytest.mark.parametrize("text", [
+        "graph G { nodes v v; }",
+        # the body may not redeclare a node of the context either
+        BASE + "condition c over Arrow = forall (extend { nodes v1; }) . true",
+    ])
+    def test_duplicate_node_name(self, text):
+        with pytest.raises(ResolutionError) as err:
+            parse(text)
+        lines = text.split("\n")
+        node = "v1" if "extend" in text else "v"
+        want = (len(lines), lines[-1].rindex(" %s;" % node) + 2, node)
+        assert str(err.value) == "line %d, column %d: duplicate node name %r" \
+            % want
+
+    @pytest.mark.parametrize("text", [
         "graph G { nodes v e; edges e: v -> v; }",
         BASE + "condition c over Arrow = forall (extend { nodes e; }) . true",
     ])
@@ -148,13 +162,29 @@ class TestDiagnostics:
             parse(BASE + sketch + sketch)
 
     def test_unknown_graph_reference(self):
-        with pytest.raises(ResolutionError, match="unknown"):
+        with pytest.raises(ResolutionError,
+                           match="^line 1, column 14: unknown graph 'A'$"):
             parse("morphism m : A -> B { }")
 
     def test_unknown_predicate(self):
-        with pytest.raises(ResolutionError, match="predicate"):
+        with pytest.raises(ResolutionError, match="^line 4, column 34: "
+                                                  "unknown predicate 'comp'$"):
             parse(BASE + "sketch S over FP on Arrow "
                          "{ stmt comp via { e -> e }; }")
+
+    @pytest.mark.parametrize("text, message", [
+        ("graph A { }\nsketch S over FP on A { }",
+         "line 2, column 15: unknown footprint 'FP'"),
+        (BASE + "sketch S over FP on Arrow { stmt monic via { w -> v1 }; }",
+         "line 4, column 46: statement 'monic': 'w' is neither a node nor an "
+         "edge of the domain"),
+        (BASE + "condition c over Arrow = forall (nope) . true",
+         "line 4, column 34: unknown morphism 'nope'"),
+    ])
+    def test_unknown_name_is_located(self, text, message):
+        with pytest.raises(ResolutionError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     def test_morphism_validation(self):
         with pytest.raises(ValidationError):

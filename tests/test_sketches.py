@@ -1,13 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsketch.ct import COMP, MONIC, comp_stmt, monic_stmt
-from gsketch.graphs import (GraphMorphism, MismatchError, compose, graph_of,
-                            identity, morphism_of)
+from gsketch.category import pullback
+from gsketch.ct import COMP, FINAL, MONIC, comp_stmt, monic_stmt
+from gsketch.graphs import (Graph, GraphMorphism, MismatchError, compose,
+                            enumerate_morphisms, graph_of, identity,
+                            morphism_of)
 from gsketch.sketches import (Footprint, MultiSketch, MultiSketchMorphism,
                               PredicateSymbol, Sketch, SketchMorphism,
                               Statement, is_sketch_morphism, multi_pullback,
                               multi_pushout, sketch_pullback, sketch_pushout,
-                              sketches_isomorphic, translate_statement)
+                              translate_statement)
+from gsketch.oracles import sketches_isomorphic
+
+from test_graphs import small_graphs
 
 
 class TestFootprint:
@@ -229,3 +236,82 @@ class TestMultiSketches:
         r = MultiSketchMorphism(right, base, identity(g), {"y": "l"})
         d, _, _ = multi_pullback(m, r)
         assert d.ids == frozenset()
+
+
+def enumerated_pullback(m, r):
+    """Reference sketch pullback: every binding of every predicate shared by
+    B and A into the pullback object, kept when both projections are
+    statements."""
+    pb = pullback(m.morphism, r.morphism)
+    shared = ({s.predicate for s in m.dom.statements}
+              & {s.predicate for s in r.dom.statements})
+    statements = [
+        sigma for p in shared
+        for sigma in (Statement(p, b)
+                      for b in enumerate_morphisms(p.arity, pb.object))
+        if translate_statement(pb.right, sigma) in r.dom.statements
+        and translate_statement(pb.left, sigma) in m.dom.statements]
+    return Sketch(pb.object, statements), pb.right, pb.left
+
+
+@st.composite
+def graphs_over(draw, c):
+    """A morphism into ``c`` from a random graph: nodes get random images,
+    and each edge runs over a random edge of ``c`` between nodes lying over
+    its endpoints."""
+    n = draw(st.integers(1, 3)) if c.nodes else 0
+    node_map = {"n%d" % i: draw(st.sampled_from(sorted(c.nodes)))
+                for i in range(n)}
+    src, tgt, edge_map = {}, {}, {}
+    for i in range(draw(st.integers(0, 4)) if c.edges else 0):
+        img = draw(st.sampled_from(sorted(c.edges)))
+        ends = [[x for x in sorted(node_map) if node_map[x] == end]
+                for end in (c.src[img], c.tgt[img])]
+        if all(ends):
+            e = "x%d" % i
+            src[e], tgt[e] = (draw(st.sampled_from(xs)) for xs in ends)
+            edge_map[e] = img
+    g = Graph(node_map, src.keys(), src, tgt)
+    return GraphMorphism(g, c, node_map, edge_map)
+
+
+def all_statements(g):
+    return [Statement(p, b) for p in (FINAL, MONIC, COMP)
+            for b in enumerate_morphisms(p.arity, g)]
+
+
+def some_of(candidates):
+    return (st.sets(st.sampled_from(candidates), min_size=1, max_size=6)
+            if candidates else st.just(set()))
+
+
+@st.composite
+def sketch_cospans(draw):
+    """B -m-> C <-r- A, with C carrying exactly the images of the statements
+    of B and A.  Some statements of A are drawn among those with the same
+    image as a statement of B, so that many pullbacks have statements."""
+    c = draw(small_graphs(max_nodes=3, max_edges=4).filter(
+        lambda g: g.nodes))
+    mb, ra = draw(graphs_over(c)), draw(graphs_over(c))
+    sb = draw(some_of(all_statements(mb.dom)))
+    images = {translate_statement(mb, s) for s in sb}
+    paired = [s for s in all_statements(ra.dom)
+              if translate_statement(ra, s) in images]
+    sa = draw(some_of(all_statements(ra.dom))) | draw(some_of(paired))
+    images |= {translate_statement(ra, s) for s in sa}
+    sc = Sketch(c, images)
+    return (SketchMorphism(Sketch(mb.dom, sb), sc, mb),
+            SketchMorphism(Sketch(ra.dom, sa), sc, ra))
+
+
+class TestSketchPullbackDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(sketch_cospans())
+    def test_pairing_equals_enumeration(self, cospan):
+        m, r = cospan
+        d, m_star, r_star = sketch_pullback(m, r)
+        want, right, left = enumerated_pullback(m, r)
+        assert d.context == want.context
+        assert d.statements == want.statements
+        assert (m_star.dom, m_star.cod, m_star.morphism) == (d, r.dom, right)
+        assert (r_star.dom, r_star.cod, r_star.morphism) == (d, m.dom, left)

@@ -1,15 +1,15 @@
 import pytest
 
-from gsketch.category import verify_pushout, PushoutResult
+from gsketch.category import PushoutResult
 from gsketch.conditions import (Exists, Stmt, Top, satisfies, stmt,
                                 well_formed)
 from gsketch.ct import COMP, MONIC, monic_stmt
 from gsketch.graphs import (MismatchError, compose, enumerate_morphisms,
                             graph_of, identity, invert, is_isomorphism,
                             morphism_of)
+from gsketch.oracles import shift_equivalence_oracle, verify_pushout
 from gsketch.sketches import Sketch, Statement
-from gsketch.translation import (chosen_pushout, shift_equivalence_oracle,
-                                 translate_condition)
+from gsketch.translation import chosen_pushout, translate_condition
 
 LOOP = graph_of("", "l:v->v")
 
