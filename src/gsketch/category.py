@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EMPTY_GRAPH, Graph, GraphMorphism, MismatchError
+from .graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
+                     inclusion)
 
 
 @dataclass(frozen=True)
@@ -32,32 +33,12 @@ def initial_graph() -> Graph:
 
 
 def initial_morphism(g: Graph) -> GraphMorphism:
-    return GraphMorphism(EMPTY_GRAPH, g, {}, {})
+    return inclusion(EMPTY_GRAPH, g)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
+def pair_name(x: str, y: str) -> str:
+    """The name ``x|y`` of the pullback element over the pair (x, y)."""
+    return "%s|%s" % (x, y)
 
 
 def tagged_quotient(left, right, glue):
@@ -67,15 +48,19 @@ def tagged_quotient(left, right, glue):
     Returns ``(left_name, right_name)``, which map each member of either side
     to its class name: the least of the class's ``L:x`` / ``R:y`` tags.
     """
-    uf = _UnionFind()
-    for x in left:
-        uf.add(("L", x))
-    for y in right:
-        uf.add(("R", y))
+    class_of = {("L", x): [("L", x)] for x in left}
+    class_of.update({("R", y): [("R", y)] for y in right})
+    classes = list(class_of.values())
     for x, y in glue:
-        uf.union(("L", x), ("R", y))
+        big, small = class_of["L", x], class_of["R", y]
+        if len(big) < len(small):
+            big, small = small, big
+        if big is not small:
+            big.extend(small)
+            class_of.update(dict.fromkeys(small, big))
+            small.clear()  # so only whole classes stay non-empty
     names = {"L": {}, "R": {}}
-    for cls in uf.classes():
+    for cls in filter(None, classes):
         name = min("%s:%s" % tagged for tagged in cls)
         for tag, x in cls:
             names[tag][x] = name
@@ -111,26 +96,20 @@ def pullback(m: GraphMorphism, r: GraphMorphism) -> PullbackResult:
         raise MismatchError("pullback needs a cospan with a common codomain")
     b, a = m.dom, r.dom
 
-    node_pairs = [(nb, na) for nb in sorted(b.nodes) for na in sorted(a.nodes)
-                  if m.node_map[nb] == r.node_map[na]]
-    edge_pairs = [(eb, ea) for eb in sorted(b.edges) for ea in sorted(a.edges)
-                  if m.edge_map[eb] == r.edge_map[ea]]
-
-    def pair_name(p):
-        return "%s|%s" % p
-
-    d = Graph(
-        [pair_name(p) for p in node_pairs],
-        [pair_name(p) for p in edge_pairs],
-        {pair_name((eb, ea)): pair_name((b.src[eb], a.src[ea]))
-         for eb, ea in edge_pairs},
-        {pair_name((eb, ea)): pair_name((b.tgt[eb], a.tgt[ea]))
-         for eb, ea in edge_pairs})
-    left = GraphMorphism(
-        d, b, {pair_name(p): p[0] for p in node_pairs},
-        {pair_name(p): p[0] for p in edge_pairs})
-    right = GraphMorphism(
-        d, a, {pair_name(p): p[1] for p in node_pairs},
-        {pair_name(p): p[1] for p in edge_pairs})
+    nodes = {pair_name(nb, na): (nb, na)
+             for nb in sorted(b.nodes) for na in sorted(a.nodes)
+             if m.node_map[nb] == r.node_map[na]}
+    edges = {pair_name(eb, ea): (eb, ea)
+             for eb in sorted(b.edges) for ea in sorted(a.edges)
+             if m.edge_map[eb] == r.edge_map[ea]}
+    d = Graph(nodes, edges,
+              {e: pair_name(b.src[eb], a.src[ea])
+               for e, (eb, ea) in edges.items()},
+              {e: pair_name(b.tgt[eb], a.tgt[ea])
+               for e, (eb, ea) in edges.items()})
+    left = GraphMorphism(d, b, {n: p[0] for n, p in nodes.items()},
+                         {e: p[0] for e, p in edges.items()})
+    right = GraphMorphism(d, a, {n: p[1] for n, p in nodes.items()},
+                          {e: p[1] for e, p in edges.items()})
     return PullbackResult(d, left, right)
 

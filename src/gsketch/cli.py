@@ -19,7 +19,7 @@ from .deduction import (CertificationError, ConstrainedSketch, RuleShapeError,
                         universal_elim)
 from .dsl import (Document, ParseError, Parser, ResolutionError,
                   ValidationError, format_condition, parse_files,
-                  print_document)
+                  print_document, read_source)
 from .graphs import GraphMorphism, MismatchError, identity
 from .sketches import Sketch, SketchMorphism, sketch_pullback, sketch_pushout
 from .translation import translate_condition
@@ -38,6 +38,12 @@ def _morphism_table(m: GraphMorphism) -> str:
     entries = ["%s -> %s" % kv for kv in sorted(m.node_map.items())]
     entries += ["%s -> %s" % kv for kv in sorted(m.edge_map.items())]
     return "{%s}" % ", ".join(entries)
+
+
+def _sketch_document(doc: Document, name: str, sketch: Sketch) -> str:
+    """A printed document of ``sketch`` over the footprints of ``doc``."""
+    return print_document(Document(footprints=dict(doc.footprints),
+                                   sketches={name: sketch}))
 
 
 def _target_sketch(doc: Document, args, decl=None) -> Sketch:
@@ -94,15 +100,14 @@ def cmd_check(doc: Document, args) -> int:
 
 
 def cmd_repair(doc: Document, args) -> int:
+    if args.max_steps < 0:
+        raise InputError("--max-steps must be non-negative")
     rules = [doc.lookup("rule", name) for name in args.rules]
     sketch = _target_sketch(doc, args)
     final, trace, exhausted = repair_to_fixpoint(rules, sketch, args.max_steps)
     for i, step in enumerate(trace, start=1):
         print("step %d: match %s" % (i, _morphism_table(step.match)))
-    out = Document()
-    out.footprints.update(doc.footprints)
-    out.sketches["repaired"] = final
-    text = print_document(out)
+    text = _sketch_document(doc, "repaired", final)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -149,10 +154,7 @@ def cmd_pushout(doc: Document, args) -> int:
     left = SketchMorphism(apex, _sketch_for_graph(doc, m.cod, "codomain"), m)
     right = SketchMorphism(apex, _sketch_for_graph(doc, r.cod, "codomain"), r)
     d, r_star, m_star = sketch_pushout(left, right)
-    out = Document()
-    out.footprints.update(doc.footprints)
-    out.sketches["pushout"] = d
-    print(print_document(out), end="")
+    print(_sketch_document(doc, "pushout", d), end="")
     print("# left leg %s" % _morphism_table(r_star.morphism))
     print("# right leg %s" % _morphism_table(m_star.morphism))
     return 0
@@ -164,10 +166,7 @@ def cmd_pullback(doc: Document, args) -> int:
     left = SketchMorphism(_sketch_for_graph(doc, m.dom, "domain"), base, m)
     right = SketchMorphism(_sketch_for_graph(doc, r.dom, "domain"), base, r)
     d, m_star, r_star = sketch_pullback(left, right)
-    out = Document()
-    out.footprints.update(doc.footprints)
-    out.sketches["pullback"] = d
-    print(print_document(out), end="")
+    print(_sketch_document(doc, "pullback", d), end="")
     print("# left projection %s" % _morphism_table(m_star.morphism))
     print("# right projection %s" % _morphism_table(r_star.morphism))
     return 0
@@ -193,10 +192,9 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
             raise InputError("unknown deduced constraint %r" % name)
         return store[name]
 
-    def bind(name, k, *, certify=True):
+    def bind(name, k):
         nonlocal state
-        if certify:
-            state = state.with_constraint(k)
+        state = state.with_constraint(k)
         store[name] = k
 
     def result_name(p):
@@ -270,9 +268,8 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
 
 def cmd_deduce(doc: Document, args) -> int:
     sketch = _target_sketch(doc, args)
-    with open(args.script, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    store = _run_deduce_script(doc, sketch, lines)
+    store = _run_deduce_script(doc, sketch,
+                               read_source(args.script).split("\n"))
     for name, k in store.items():
         print("%s: anchor %s" % (name, _morphism_table(k.anchor)))
         print(format_condition(k.condition, doc), end="")

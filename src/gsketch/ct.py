@@ -14,7 +14,8 @@ from .category import initial_morphism
 from .conditions import (Condition, Forall, Stmt, Top, conj, implication,
                          statements_conj, stmt, unguarded_exists,
                          unguarded_forall)
-from .graphs import Graph, GraphMorphism, graph_of, identity, morphism_of
+from .graphs import (Graph, GraphMorphism, graph_of, identity, inclusion,
+                     morphism_of)
 from .sketches import Footprint, PredicateSymbol, Sketch, Statement
 from .translation import translate_condition
 
@@ -174,11 +175,6 @@ def _extend(g: Graph, nodes=(), edges=()) -> Graph:
     return Graph(set(g.nodes) | set(nodes), names, src, tgt)
 
 
-def _inclusion(small: Graph, big: Graph) -> GraphMorphism:
-    return GraphMorphism(small, big, {n: n for n in small.nodes},
-                         {e: e for e in small.edges})
-
-
 def cone_contexts(shape: Graph, colimit: bool = False) -> ConeContexts:
     def proj(prefix, apex, node):
         # limit cones project out of the apex, colimit cocones into it
@@ -197,8 +193,8 @@ def cone_contexts(shape: Graph, colimit: bool = False) -> ConeContexts:
         two, one, {n: n for n in two.nodes},
         {e: ("m" if e in ("m1", "m2") else e) for e in two.edges})
     return ConeContexts(base, double, one, two,
-                        _inclusion(base, double), _inclusion(double, one),
-                        _inclusion(base, two), merge)
+                        inclusion(base, double), inclusion(double, one),
+                        inclusion(base, two), merge)
 
 
 def _cone_commutativity(ctx: Graph, shape: Graph, prefix: str, colimit: bool):

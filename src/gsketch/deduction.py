@@ -158,20 +158,15 @@ def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
         raise ValueError("max_steps must be non-negative")
     steps = []
     current = g
-    for _ in range(max_steps):
-        fired = False
-        for rule in rules:
-            matches = find_matches(rule, current)
-            if matches:
-                h, a_star, t_star = apply_rule(rule, matches[0], current)
-                steps.append(RepairStep(rule, matches[0], h, a_star, t_star))
-                current = h
-                fired = True
-                break
-        if not fired:
-            return current, steps, False
-    exhausted = any(find_matches(rule, current) for rule in rules)
-    return current, steps, exhausted
+    while True:
+        fired = next(((rule, matches[0]) for rule in rules
+                      if (matches := find_matches(rule, current))), None)
+        if fired is None or len(steps) == max_steps:
+            return current, steps, fired is not None
+        rule, match = fired
+        h, a_star, t_star = apply_rule(rule, match, current)
+        steps.append(RepairStep(rule, match, h, a_star, t_star))
+        current = h
 
 
 def universal_elim(k: Constraint, t: GraphMorphism) -> Constraint:

@@ -17,7 +17,7 @@ from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          stmt, well_formed)
 from .deduction import Rule
 from .graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
-                     identity, morphism_of, validate_graph)
+                     identity, inclusion, morphism_of, validate_graph)
 from .sketches import (Footprint, PredicateSymbol, Sketch, SketchMorphism,
                        Statement, translate_statement)
 
@@ -92,17 +92,6 @@ class Document:
         if name not in table:
             raise ResolutionError("unknown %s %r" % (kind, name))
         return table[name]
-
-    def __eq__(self, other):
-        if not isinstance(other, Document):
-            return NotImplemented
-        return (self.graphs == other.graphs
-                and self.footprints == other.footprints
-                and self.morphisms == other.morphisms
-                and self.sketches == other.sketches
-                and self.conditions == other.conditions
-                and self.constraints == other.constraints
-                and self.rules == other.rules)
 
 
 KEYWORDS = {"graph", "footprint", "pred", "arity", "morphism", "nodes",
@@ -300,15 +289,19 @@ class Parser:
         self.expect("footprint")
         name = self.expect_name()
         self.expect("{")
-        preds = []
+        preds = {}
         while not self.at("}"):
             self.expect("pred")
+            tok = self.peek()
             pname = self.expect_name()
+            if pname in preds:
+                raise ResolutionError(
+                    _located(tok, "duplicate predicate name %r" % pname))
             self.expect("arity")
-            preds.append(PredicateSymbol(pname, self.graph_ref()))
+            preds[pname] = PredicateSymbol(pname, self.graph_ref())
             self.accept(";")
         self.expect("}")
-        self._declare("footprint", name, Footprint(preds))
+        self._declare("footprint", name, Footprint(preds.values()))
 
     def parse_pairs(self) -> List[Tuple[_Token, str]]:
         """Parse ``x -> y, ...`` up to the first token that is not a name;
@@ -404,10 +397,7 @@ class Parser:
 
     def parse_shift(self, context: Graph) -> GraphMorphism:
         if self.accept("extend"):
-            big = self.parse_graph_body(context)
-            return GraphMorphism(context, big,
-                                 {n: n for n in context.nodes},
-                                 {e: e for e in context.edges})
+            return inclusion(context, self.parse_graph_body(context))
         name = self.peek().value
         m = self.resolve("morphism")
         if m.dom != context:
@@ -514,9 +504,23 @@ def parse_files(paths) -> Document:
     declarations from earlier ones."""
     doc = Document()
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            parse(handle.read(), doc)
+        parse(read_source(path), doc)
     return doc
+
+
+def read_source(path) -> str:
+    """The text of a UTF-8 file, with universal newlines as in text mode.  A
+    byte that is not UTF-8 raises a ParseError at its line and column."""
+    with open(path, "rb") as handle:
+        # no multi-byte UTF-8 sequence contains the bytes of \r or \n
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise ParseError(
+            "%s: byte 0x%02x is not UTF-8" % (path, data[exc.start]),
+            before.count("\n") + 1, len(before) - before.rfind("\n")) from None
 
 
 # printing -----------------------------------------------------------------
@@ -550,22 +554,33 @@ def _format_graph_body(g: Graph) -> str:
     return "{\n%s\n}" % "\n".join("  " + x for x in lines) if lines else "{ }"
 
 
+def _named(table: dict, test) -> Optional[str]:
+    """The first name in ``table`` whose declaration passes ``test``."""
+    return next((name for name, value in table.items() if test(value)), None)
+
+
+def _first_names(table: dict) -> dict:
+    """Each declaration in ``table`` mapped to the first of its names."""
+    return {value: name for name, value in reversed(table.items())}
+
+
 def _is_inclusion(m: GraphMorphism) -> bool:
     return (all(m.node_map[n] == n for n in m.dom.nodes)
             and all(m.edge_map[e] == e for e in m.dom.edges))
 
 
 class _Printer:
-    def __init__(self, doc: Document, graph_hints=None, morphism_hints=None):
+    """Names graphs and morphisms of ``doc`` by their declarations; others
+    are declared on first use, named after ``hints`` where possible."""
+
+    def __init__(self, doc: Document, hints: Optional[Document] = None):
+        hints = hints or Document()
         self.doc = doc
-        self.graph_names = {g: name for name, g in reversed(doc.graphs.items())}
-        self.morphism_names = {m: name
-                               for name, m in reversed(doc.morphisms.items())}
-        self.graph_hints = graph_hints or {}
-        self.morphism_hints = morphism_hints or {}
-        self.used_names = (set(doc.graphs) | set(doc.morphisms)
-                           | set(self.graph_names.values())
-                           | set(self.morphism_names.values()))
+        self.graph_names = _first_names(doc.graphs)
+        self.morphism_names = _first_names(doc.morphisms)
+        self.graph_hints = _first_names(hints.graphs)
+        self.morphism_hints = _first_names(hints.morphisms)
+        self.used_names = set(doc.graphs) | set(doc.morphisms)
         self.counter = 0
         self.extra: List[str] = []
 
@@ -660,12 +675,9 @@ class _Printer:
         return "footprint %s {\n%s\n}" % (_q(name), "\n".join(lines))
 
     def format_sketch(self, name: str, sk: Sketch) -> str:
-        fp_name = None
         preds = {s.predicate for s in sk.statements}
-        for fname, fp in self.doc.footprints.items():
-            if preds <= fp.predicates:
-                fp_name = fname
-                break
+        fp_name = _named(self.doc.footprints,
+                         lambda fp: preds <= fp.predicates)
         if fp_name is None:
             fp_name = "footprint_%s" % name
             self.extra.append(self.format_footprint(fp_name, Footprint(preds)))
@@ -677,8 +689,7 @@ class _Printer:
 
 
 def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
-    if printer is None:
-        printer = _Printer(doc)
+    printer = printer or _Printer(doc)
     chunks: List[str] = []
 
     def emit(text):
@@ -686,8 +697,6 @@ def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
         printer.extra = []
         chunks.append(text)
 
-    for name in doc.graphs:
-        printer.graph_names.setdefault(doc.graphs[name], name)
     for name, g in doc.graphs.items():
         emit("graph %s %s" % (_q(name), _format_graph_body(g)))
     for name, fp in doc.footprints.items():
@@ -705,20 +714,15 @@ def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
              % (_q(name), _q(decl.condition_name), anchor))
     for name, rule in doc.rules.items():
         mname = printer.morphism_name(rule.morphism)
-        lhs_name = rhs_name = None
-        for sname, sk in doc.sketches.items():
-            if sk == rule.lhs and lhs_name is None:
-                lhs_name = sname
-            if sk == rule.rhs and rhs_name is None:
-                rhs_name = sname
-        if lhs_name is None:
-            lhs_name = "sketch_%s_lhs" % name
-            printer.extra.append(printer.format_sketch(lhs_name, rule.lhs))
-        if rhs_name is None:
-            rhs_name = "sketch_%s_rhs" % name
-            printer.extra.append(printer.format_sketch(rhs_name, rule.rhs))
+        sides = []
+        for side, sk in (("lhs", rule.lhs), ("rhs", rule.rhs)):
+            sname = _named(doc.sketches, lambda other: other == sk)
+            if sname is None:
+                sname = "sketch_%s_%s" % (name, side)
+                printer.extra.append(printer.format_sketch(sname, sk))
+            sides.append(_q(sname))
         emit("rule %s = morphism %s from %s to %s"
-             % (_q(name), mname, _q(lhs_name), _q(rhs_name)))
+             % (_q(name), mname, *sides))
     chunks.extend(printer.extra)
     return "\n\n".join(chunks) + "\n"
 
@@ -729,12 +733,8 @@ def format_condition(cond: Condition, doc: Optional[Document] = None) -> str:
     Only the graphs and morphisms the condition actually references are
     emitted; names from ``doc`` are reused where possible.
     """
+    doc = doc or Document()
     scratch = Document()
-    graph_hints, morphism_hints = {}, {}
-    if doc is not None:
-        graph_hints = {g: name for name, g in reversed(doc.graphs.items())}
-        morphism_hints = {m: name
-                          for name, m in reversed(doc.morphisms.items())}
     preds = set()
 
     def collect(node):
@@ -745,14 +745,10 @@ def format_condition(cond: Condition, doc: Optional[Document] = None) -> str:
 
     collect(cond)
     if preds:
-        named = None
-        if doc is not None:
-            named = next(((name, fp) for name, fp in doc.footprints.items()
-                          if preds <= fp.predicates), None)
-        if named is not None:
-            scratch.footprints[named[0]] = named[1]
-        else:
+        name = _named(doc.footprints, lambda fp: preds <= fp.predicates)
+        if name is None:
             scratch.footprints["fp"] = Footprint(preds)
+        else:
+            scratch.footprints[name] = doc.footprints[name]
     scratch.conditions["result"] = cond
-    return print_document(scratch,
-                          _Printer(scratch, graph_hints, morphism_hints))
+    return print_document(scratch, _Printer(scratch, doc))

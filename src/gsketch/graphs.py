@@ -174,8 +174,14 @@ def morphism_of(dom: Graph, cod: Graph, nodes: Mapping[str, str] = None,
     return GraphMorphism(dom, cod, node_map, edge_map)
 
 
+def inclusion(small: Graph, big: Graph) -> GraphMorphism:
+    """The morphism small -> big that maps every element to itself."""
+    return GraphMorphism(small, big, {n: n for n in small.nodes},
+                         {e: e for e in small.edges})
+
+
 def identity(g: Graph) -> GraphMorphism:
-    return GraphMorphism(g, g, {n: n for n in g.nodes}, {e: e for e in g.edges})
+    return inclusion(g, g)
 
 
 def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from .category import PullbackResult, PushoutResult
 from .conditions import Condition, Quantifier, Stmt, satisfies
-from .graphs import (Graph, GraphMorphism, compose, enumerate_morphisms,
-                     enumerate_morphisms_extending, graph_of, is_isomorphism)
+from .graphs import (GraphMorphism, compose, enumerate_extensions,
+                     enumerate_morphisms, graph_of, is_isomorphism)
 from .sketches import Sketch, translate_statement
 from .translation import translate_condition
 
@@ -90,13 +90,9 @@ def shift_equivalence_oracle(c: GraphMorphism, cond: Condition,
                for t in enumerate_morphisms(c.cod, g.context))
 
 
-def isomorphisms(a: Graph, b: Graph, node_seed, edge_seed):
-    """The isomorphisms a -> b extending the partial maps, in canonical order."""
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
-        return
-    for m in enumerate_morphisms_extending(a, b, node_seed, edge_seed):
-        if is_isomorphism(m):
-            yield m
+def isomorphisms(candidates):
+    """The isomorphisms among the candidate morphisms, in their order."""
+    return (m for m in candidates if is_isomorphism(m))
 
 
 def sketches_isomorphic(a: Sketch, b: Sketch) -> bool:
@@ -105,7 +101,8 @@ def sketches_isomorphic(a: Sketch, b: Sketch) -> bool:
         return False
     return any({translate_statement(phi, s) for s in a.statements}
                == b.statements
-               for phi in isomorphisms(a.context, b.context, {}, {}))
+               for phi in isomorphisms(enumerate_morphisms(a.context,
+                                                           b.context)))
 
 
 def conditions_equal_modulo_renaming(a: Condition, b: Condition) -> bool:
@@ -127,21 +124,13 @@ def conditions_equal_modulo_renaming(a: Condition, b: Condition) -> bool:
         if isinstance(na, Quantifier):
             if not walk(na.guard, nb.guard, corr):
                 return False
-            node_seed, edge_seed = {}, {}
-            for k in na.shift.dom.nodes:
-                img = nb.shift.node_map[corr.node_map[k]]
-                if node_seed.setdefault(na.shift.node_map[k], img) != img:
-                    return False
-            for k in na.shift.dom.edges:
-                img = nb.shift.edge_map[corr.edge_map[k]]
-                if edge_seed.setdefault(na.shift.edge_map[k], img) != img:
-                    return False
+            # the body correspondences extend corr along the two shifts
             return any(walk(na.body, nb.body, corr2)
-                       for corr2 in isomorphisms(na.shift.cod, nb.shift.cod,
-                                                 node_seed, edge_seed))
+                       for corr2 in isomorphisms(enumerate_extensions(
+                           na.shift, compose(corr, nb.shift))))
         subs_a, subs_b = na.subconditions(), nb.subconditions()
         return len(subs_a) == len(subs_b) and all(
             walk(x, y, corr) for x, y in zip(subs_a, subs_b))
 
-    return any(walk(a, b, corr)
-               for corr in isomorphisms(a.context, b.context, {}, {}))
+    return any(walk(a, b, corr) for corr in isomorphisms(
+        enumerate_morphisms(a.context, b.context)))

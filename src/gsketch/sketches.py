@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .category import pullback, pushout, tagged_quotient
+from .category import pair_name, pullback, pushout, tagged_quotient
 from .graphs import (Graph, GraphMorphism, MismatchError, compose,
                      validate_graph)
 
@@ -161,9 +161,9 @@ def paired_statement(sb: Statement, sa: Statement, d: Graph) -> Statement:
     arity = sb.predicate.arity
     return Statement(sb.predicate, GraphMorphism(
         arity, d,
-        {n: "%s|%s" % (sb.binding.node_map[n], sa.binding.node_map[n])
+        {n: pair_name(sb.binding.node_map[n], sa.binding.node_map[n])
          for n in arity.nodes},
-        {e: "%s|%s" % (sb.binding.edge_map[e], sa.binding.edge_map[e])
+        {e: pair_name(sb.binding.edge_map[e], sa.binding.edge_map[e])
          for e in arity.edges}))
 
 
@@ -273,21 +273,15 @@ def multi_pullback(m: MultiSketchMorphism, r: MultiSketchMorphism):
         raise MismatchError("multi pullback needs a cospan with a common codomain")
     pb = pullback(m.morphism, r.morphism)
     # pb.left: D -> B (= m.dom context), pb.right: D -> A (= r.dom context)
-    stm = {}
-    id_left, id_right = {}, {}
-    for i in sorted(m.dom.ids):
-        for j in sorted(r.dom.ids):
-            if m.id_map[i] != r.id_map[j]:
-                continue
-            sb, sa = m.dom.stm[i], r.dom.stm[j]
-            if sb.predicate != sa.predicate:
-                raise MismatchError(
-                    "internal error: identified statements disagree on predicate")
-            pair = "%s|%s" % (i, j)
-            stm[pair] = paired_statement(sb, sa, pb.object)
-            id_left[pair] = i
-            id_right[pair] = j
-    d = MultiSketch(pb.object, stm)
-    left = MultiSketchMorphism(d, m.dom, pb.left, id_left)
-    right = MultiSketchMorphism(d, r.dom, pb.right, id_right)
+    # identified statements have one image in C, so they share a predicate
+    pairs = {pair_name(i, j): (i, j)
+             for i in sorted(m.dom.ids) for j in sorted(r.dom.ids)
+             if m.id_map[i] == r.id_map[j]}
+    d = MultiSketch(pb.object, {
+        p: paired_statement(m.dom.stm[i], r.dom.stm[j], pb.object)
+        for p, (i, j) in pairs.items()})
+    left = MultiSketchMorphism(d, m.dom, pb.left,
+                               {p: i for p, (i, _) in pairs.items()})
+    right = MultiSketchMorphism(d, r.dom, pb.right,
+                                {p: j for p, (_, j) in pairs.items()})
     return d, left, right

@@ -48,3 +48,28 @@ def brute_force_morphisms(a, g):
                    for e in a_edges):
                 out.append(GraphMorphism(a, g, node_map, edge_map))
     return out
+
+
+def union_find_quotient(left, right, glue):
+    """Reference for ``category.tagged_quotient``: a union-find with path
+    halving over the tagged members, each class named by its least tag."""
+    parent = {("L", x): ("L", x) for x in left}
+    parent.update({("R", y): ("R", y) for y in right})
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for x, y in glue:
+        parent[find(("L", x))] = find(("R", y))
+    classes = {}
+    for t in parent:
+        classes.setdefault(find(t), []).append(t)
+    names = {"L": {}, "R": {}}
+    for cls in classes.values():
+        name = min("%s:%s" % t for t in cls)
+        for tag, x in cls:
+            names[tag][x] = name
+    return names["L"], names["R"]

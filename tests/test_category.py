@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsketch.category import (PushoutResult, initial_graph, initial_morphism,
-                              pullback, pushout)
+                              pullback, pushout, tagged_quotient)
 from gsketch.graphs import (EMPTY_GRAPH, MismatchError, compose,
                             enumerate_morphisms, graph_of, identity,
                             is_isomorphism, morphism_of)
 from gsketch.oracles import (default_test_graphs, verify_pullback,
                              verify_pushout)
+
+from conftest import union_find_quotient
 
 G = graph_of("", "a:1->2 b:2->3 c:3->4 d:4->5 e:1->3 f:1->3 g:3->5")
 
@@ -145,3 +149,27 @@ class TestVerifiers:
         r = morphism_of(c, G, edges={"k": "a"})
         po = pushout(identity(c), r)
         assert compose(identity(c), po.left) == compose(r, po.right)
+
+
+@st.composite
+def quotient_inputs(draw):
+    """Random left and right member sets and glue pairs between them."""
+    members = st.sets(st.sampled_from("abcdefgh"), max_size=6)
+    left, right = draw(members), draw(members)
+    pairs = st.tuples(st.sampled_from(sorted(left)),
+                      st.sampled_from(sorted(right)))
+    glue = draw(st.lists(pairs, max_size=8)) if left and right else []
+    return left, right, glue
+
+
+class TestTaggedQuotient:
+    @settings(max_examples=200, deadline=None)
+    @given(quotient_inputs())
+    def test_agrees_with_union_find(self, inputs):
+        assert tagged_quotient(*inputs) == union_find_quotient(*inputs)
+
+    def test_class_named_by_least_tag(self):
+        names_l, names_r = tagged_quotient(
+            {"x", "y"}, {"p", "q"}, [("y", "p"), ("x", "p")])
+        assert names_l == {"x": "L:x", "y": "L:x"}
+        assert names_r == {"p": "L:x", "q": "R:q"}

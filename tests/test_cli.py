@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -92,6 +93,31 @@ def test_unknown_name_exits_two(corpus, capsys, argv, message):
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv, data, message", [
+    (["repair", "--sketch", "G", "--rules", "merge_composites",
+      "--max-steps", "-1"], None, "--max-steps must be non-negative"),
+    (["check", "{path}", "--all"],
+     b"graph X1 { }\ngraph X2 { }\n"
+     b"footprint F { pred p arity X1; pred p arity X2; }\n",
+     "line 3, column 37: duplicate predicate name 'p'"),
+    (["check", "{path}", "--all"], b"# gr\xf6\xdfe\n",
+     "line 1, column 5: {path}: byte 0xf6 is not UTF-8"),
+    (["deduce", "--sketch", "Gprime", "--script", "{path}"],
+     b"assume phi3 initial as unique\n# gr\xf6\xdfe\n",
+     "line 2, column 5: {path}: byte 0xf6 is not UTF-8"),
+])
+def test_rejected_input_exits_two(corpus, tmp_path, capsys, argv, data,
+                                  message):
+    # ``{path}`` stands for a file holding ``data``
+    path = tmp_path / "input"
+    if data is not None:
+        path.write_bytes(data)
+    argv = [arg.format(path=path) for arg in argv]
+    code = main([argv[0], *corpus, *argv[1:]])
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message.format(path=path)
+
+
 class TestRepair:
     def test_repair_to_fixpoint(self, corpus, capsys, tmp_path):
         out_path = tmp_path / "repaired.sketch"
@@ -181,6 +207,38 @@ class TestDeduce:
         assert code == 0
         # six bound constraints, one check each
         assert len(checked) == 6
+
+    def test_intro_and_split_round_trip(self, corpus, tmp_path, capsys):
+        script = tmp_path / "script.txt"
+        script.write_text("assume phi3 initial as unique\n"
+                          "assume phi4 initial as final_monic\n"
+                          "intro unique final_monic as both\n"
+                          "split both as part\n")
+        code = main(["deduce", *corpus, "--sketch", "Gprime",
+                     "--script", str(script)])
+        assert code == 0
+        # each store entry prints as "NAME: anchor {...}" and a document
+        printed = dict(re.findall(r"^(\w+): anchor \{\}\n(.*?)(?=^\w+: |\Z)",
+                                  capsys.readouterr().out, re.M | re.S))
+        assert list(printed) == ["unique", "final_monic", "both",
+                                 "part_1", "part_2"]
+        assert printed["part_1"] == printed["unique"]
+        assert printed["part_2"] == printed["final_monic"]
+        assert "condition result over Empty = and(" in printed["both"]
+
+    @pytest.mark.parametrize("line, message", [
+        ("inst monic via { e -> a } def phi7 as x",
+         "statement is not in the sketch"),
+        ("frobnicate unique as x", "unknown deduction command 'frobnicate'"),
+    ])
+    def test_rejected_step_exits_two(self, corpus, tmp_path, capsys, line,
+                                     message):
+        script = tmp_path / "script.txt"
+        script.write_text(line + "\n")
+        code = main(["deduce", *corpus, "--sketch", "Gprime",
+                     "--script", str(script)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 1: %s\n" % message
 
     def test_bad_script_step(self, corpus, tmp_path, capsys):
         script = tmp_path / "script.txt"

@@ -6,7 +6,7 @@ from gsketch.conditions import And, Bottom, Exists, Forall, Not, Or, Top
 from gsketch.dsl import (KEYWORDS, ConstraintDecl, Document, ParseError,
                          ResolutionError, ValidationError, _tokenize,
                          format_condition, parse, parse_files, print_document)
-from gsketch.graphs import Graph, GraphMorphism, graph_of
+from gsketch.graphs import Graph, GraphMorphism, graph_of, inclusion
 from gsketch.oracles import conditions_equal_modulo_renaming
 
 BASE = """
@@ -127,6 +127,17 @@ class TestDiagnostics:
         want = (len(lines), lines[-1].rindex(" %s;" % node) + 2, node)
         assert str(err.value) == "line %d, column %d: duplicate node name %r" \
             % want
+
+    @pytest.mark.parametrize("arity", ["Arrow", "Point"])
+    def test_duplicate_predicate_name(self, arity):
+        # a repeat is rejected whether or not its arity differs
+        text = (BASE + "graph Point { nodes v; }\n"
+                "footprint F {\n  pred p arity Arrow;\n  pred p arity %s;\n}"
+                % arity)
+        with pytest.raises(ResolutionError) as err:
+            parse(text)
+        assert str(err.value) == \
+            "line 7, column 8: duplicate predicate name 'p'"
 
     @pytest.mark.parametrize("text", [
         "graph G { nodes v e; edges e: v -> v; }",
@@ -289,6 +300,21 @@ class TestParseFiles:
         with pytest.raises(OSError):
             parse_files([str(tmp_path / "absent.sketch")])
 
+    def test_bytes_that_are_not_utf8_are_located(self, tmp_path):
+        path = tmp_path / "latin1.sketch"
+        # Latin-1 "größe" on line 2, after a CR LF and a two-byte "λ"
+        path.write_bytes("graph G {\r\n  nodes λ ".encode("utf-8")
+                         + b"gr\xf6\xdfe;\r\n}")
+        with pytest.raises(ParseError) as err:
+            parse_files([str(path)])
+        assert (err.value.line, err.value.col) == (2, 13)
+        assert str(err.value).endswith("byte 0xf6 is not UTF-8")
+
+    def test_newlines_are_universal(self, tmp_path):
+        path = tmp_path / "crlf.sketch"
+        path.write_bytes(b"graph A {\r\n nodes v; }\rgraph B { }\n")
+        assert set(parse_files([str(path)]).graphs) == {"A", "B"}
+
 
 def _reference_tokenize(text):
     """The character-loop lexer that the regex lexer replaced, kept as a
@@ -400,11 +426,6 @@ def extensions(draw, base):
     return Graph(nodes, src.keys(), src, tgt)
 
 
-def _inclusion(small, big):
-    return GraphMorphism(small, big, {n: n for n in small.nodes},
-                         {e: e for e in small.edges})
-
-
 @st.composite
 def morphisms_from(draw, dom):
     """A morphism out of ``dom``, gluing nodes, into a possibly larger
@@ -433,7 +454,7 @@ def conditions_over(draw, context, depth=2):
         children = draw(st.lists(conditions_over(context, depth - 1),
                                  max_size=2))
         return draw(st.sampled_from([And, Or]))(context, tuple(children))
-    shift = _inclusion(context, draw(extensions(context)))
+    shift = inclusion(context, draw(extensions(context)))
     guard = draw(st.one_of(st.just(Top(context)),
                            conditions_over(context, depth - 1)))
     body = draw(conditions_over(shift.cod, depth - 1))

@@ -107,6 +107,24 @@ class TestComposition:
             assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
 
+ARROW = graph_of("", "a:1->2")
+CYCLE = graph_of("", "b:x->y c:y->x")
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    ({"1": "x"}, {"a": "b"}, "node '2' of the domain is unmapped"),
+    ({"1": "x", "2": "z"}, {"a": "b"}, "node '2' maps outside the codomain"),
+    ({"1": "x", "2": "y"}, {}, "edge 'a' of the domain is unmapped"),
+    ({"1": "x", "2": "y"}, {"a": "d"}, "edge 'a' maps outside the codomain"),
+    ({"1": "x", "2": "y"}, {"a": "c"},
+     "edge 'a': image does not respect source/target"),
+])
+def test_morphism_constructor_rejects(nodes, edges, message):
+    with pytest.raises(MismatchError) as err:
+        GraphMorphism(ARROW, CYCLE, nodes, edges)
+    assert str(err.value) == message
+
+
 class TestMorphismOf:
     def test_infers_nodes_from_edges(self):
         t = morphism_of(K1, G, edges={"e1": "a", "e2": "b"})
