@@ -4,7 +4,7 @@ Pushout objects are quotients of tagged disjoint unions: elements coming from
 the left leg's codomain are tagged ``L:``, elements from the right leg's
 codomain ``R:``, and each equivalence class is named after its
 lexicographically least tagged member.  Pullback elements are pairs named
-``b|a``.
+``b|a``, with ``\\`` and ``|`` inside b and a escaped.
 """
 from __future__ import annotations
 
@@ -37,8 +37,16 @@ def initial_morphism(g: Graph) -> GraphMorphism:
 
 
 def pair_name(x: str, y: str) -> str:
-    """The name ``x|y`` of the pullback element over the pair (x, y)."""
-    return "%s|%s" % (x, y)
+    """The name ``x|y`` of the pullback element over the pair (x, y).
+
+    A ``\\`` or ``|`` inside x or y is escaped by a ``\\``, so distinct
+    pairs get distinct names; names without either character are joined as
+    they are."""
+    return "%s|%s" % (_escape(x), _escape(y))
+
+
+def _escape(name: str) -> str:
+    return name.replace("\\", "\\\\").replace("|", "\\|")
 
 
 def tagged_quotient(left, right, glue):
@@ -47,24 +55,37 @@ def tagged_quotient(left, right, glue):
 
     Returns ``(left_name, right_name)``, which map each member of either side
     to its class name: the least of the class's ``L:x`` / ``R:y`` tags.
+    Every ``L:`` tag sorts before every ``R:`` tag and every glue pair has a
+    left member, so a glued class is named ``L:x`` after its least left
+    member x, and an unglued right member y is the class ``R:y`` alone.  A
+    union-find over the left members, whose roots are the least members of
+    their classes, joins those glued to a common right member.
     """
-    class_of = {("L", x): [("L", x)] for x in left}
-    class_of.update({("R", y): [("R", y)] for y in right})
-    classes = list(class_of.values())
+    up = {}       # left member -> a lesser member of its class; roots absent
+    partner = {}  # right member -> the first left member glued to it
+
+    def find(x):
+        while x in up:
+            # path halving: point x at its grandparent, then move there
+            parent = up[x]
+            up[x] = up.get(parent, parent)
+            x = up[x]
+        return x
+
     for x, y in glue:
-        big, small = class_of["L", x], class_of["R", y]
-        if len(big) < len(small):
-            big, small = small, big
-        if big is not small:
-            big.extend(small)
-            class_of.update(dict.fromkeys(small, big))
-            small.clear()  # so only whole classes stay non-empty
-    names = {"L": {}, "R": {}}
-    for cls in filter(None, classes):
-        name = min("%s:%s" % tagged for tagged in cls)
-        for tag, x in cls:
-            names[tag][x] = name
-    return names["L"], names["R"]
+        z = partner.setdefault(y, x)
+        if z != x:
+            rx, rz = find(x), find(z)
+            if rx < rz:
+                up[rz] = rx
+            elif rz < rx:
+                up[rx] = rz
+    left_name = {x: "L:" + x for x in left}
+    for x in up:  # the members that are not roots
+        left_name[x] = "L:" + find(x)
+    right_name = {y: left_name[partner[y]] if y in partner else "R:" + y
+                  for y in right}
+    return left_name, right_name
 
 
 def pushout(m: GraphMorphism, r: GraphMorphism) -> PushoutResult:
@@ -85,8 +106,8 @@ def pushout(m: GraphMorphism, r: GraphMorphism) -> PushoutResult:
             tgt[name] = node_names[g.tgt[e]]
     d = Graph(set(nodes_b.values()) | set(nodes_a.values()), set(src),
               src, tgt)
-    left = GraphMorphism(b, d, nodes_b, edges_b)
-    right = GraphMorphism(a, d, nodes_a, edges_a)
+    left = GraphMorphism._trusted(b, d, nodes_b, edges_b)
+    right = GraphMorphism._trusted(a, d, nodes_a, edges_a)
     return PushoutResult(d, left, right)
 
 
@@ -107,9 +128,9 @@ def pullback(m: GraphMorphism, r: GraphMorphism) -> PullbackResult:
                for e, (eb, ea) in edges.items()},
               {e: pair_name(b.tgt[eb], a.tgt[ea])
                for e, (eb, ea) in edges.items()})
-    left = GraphMorphism(d, b, {n: p[0] for n, p in nodes.items()},
-                         {e: p[0] for e, p in edges.items()})
-    right = GraphMorphism(d, a, {n: p[1] for n, p in nodes.items()},
-                          {e: p[1] for e, p in edges.items()})
+    left = GraphMorphism._trusted(d, b, {n: p[0] for n, p in nodes.items()},
+                                  {e: p[0] for e, p in edges.items()})
+    right = GraphMorphism._trusted(d, a, {n: p[1] for n, p in nodes.items()},
+                                   {e: p[1] for e, p in edges.items()})
     return PullbackResult(d, left, right)
 

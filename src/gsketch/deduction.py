@@ -16,7 +16,7 @@ from .conditions import (And, Condition, Constraint, Exists, Forall, Stmt,
                          violating_extensions)
 from .graphs import GraphMorphism, MismatchError, compose, identity
 from .sketches import (Sketch, SketchMorphism, Statement, sketch_pushout,
-                       translate_statement)
+                       translate_statement, unchecked)
 
 
 class RuleShapeError(ValueError):
@@ -38,18 +38,26 @@ class Rule:
     @classmethod
     def build(cls, lhs: Sketch, morphism: GraphMorphism,
               added_statements: Iterable[Statement]) -> "Rule":
+        """The rule whose rhs holds ``added_statements`` and the lhs image."""
         added = frozenset(added_statements)
-        translated = {translate_statement(morphism, s) for s in lhs.statements}
-        rhs = Sketch(morphism.cod, added | translated)
-        return cls(lhs, rhs, morphism, added)
+        image = _lhs_image(lhs, morphism, morphism.cod)
+        return unchecked(cls, lhs=lhs, rhs=Sketch(morphism.cod, added | image),
+                         morphism=morphism, added_statements=added)
+
+    @classmethod
+    def between(cls, lhs: Sketch, rhs: Sketch,
+                morphism: GraphMorphism) -> "Rule":
+        """The rule of the sketch morphism lhs -> rhs: it adds the statements
+        of rhs outside the lhs image."""
+        image = _lhs_image(lhs, morphism, rhs.context)
+        if not image <= rhs.statements:
+            raise MismatchError("morphism does not preserve statements")
+        return unchecked(cls, lhs=lhs, rhs=rhs, morphism=morphism,
+                         added_statements=rhs.statements - image)
 
     def __post_init__(self):
-        if self.morphism.dom != self.lhs.context or \
-           self.morphism.cod != self.rhs.context:
-            raise MismatchError("rule morphism endpoints differ from the sketches")
-        translated = {translate_statement(self.morphism, s)
-                      for s in self.lhs.statements}
-        if self.rhs.statements != frozenset(self.added_statements) | translated:
+        image = _lhs_image(self.lhs, self.morphism, self.rhs.context)
+        if self.rhs.statements != frozenset(self.added_statements) | image:
             raise MismatchError(
                 "rhs statements must be the added ones plus the lhs image")
 
@@ -67,6 +75,14 @@ class Rule:
         """``uc`` of the rule's sketch morphism: its matches are the
         violations of this closed condition."""
         return uc(self.as_sketch_morphism())
+
+
+def _lhs_image(lhs: Sketch, morphism: GraphMorphism, rhs_context) -> frozenset:
+    """The statements a(S1) of a rule morphism a: L -> R, checking that a
+    runs from the lhs context to ``rhs_context``."""
+    if morphism.dom != lhs.context or morphism.cod != rhs_context:
+        raise MismatchError("rule morphism endpoints differ from the sketches")
+    return frozenset(translate_statement(morphism, s) for s in lhs.statements)
 
 
 def _statement_set(cond: Condition):

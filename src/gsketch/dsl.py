@@ -18,8 +18,7 @@ from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
 from .deduction import Rule
 from .graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
                      identity, inclusion, morphism_of, validate_graph)
-from .sketches import (Footprint, PredicateSymbol, Sketch, SketchMorphism,
-                       Statement, translate_statement)
+from .sketches import Footprint, PredicateSymbol, Sketch, Statement
 
 
 class ParseError(ValueError):
@@ -100,6 +99,11 @@ KEYWORDS = {"graph", "footprint", "pred", "arity", "morphism", "nodes",
             "implies", "given", "extend", "constraint", "initial", "rule",
             "from", "to"}
 
+# Deepest nesting of connectives and quantifiers a condition may have.  The
+# parser, the evaluator, translation and the printer recurse once or twice
+# per level, so this keeps them all well inside Python's recursion limit.
+MAX_NESTING = 200
+
 _CONNECTIVES = {"and": And, "or": Or, "exists": Exists, "forall": Forall}
 _KEYWORD_OF = {cls: keyword for keyword, cls in _CONNECTIVES.items()}
 
@@ -155,6 +159,7 @@ class Parser:
     def __init__(self, text: str, doc: Optional[Document] = None):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parse_expr calls open at the current token
         self.doc = doc if doc is not None else Document()
 
     def peek(self) -> _Token:
@@ -406,6 +411,18 @@ class Parser:
         return m
 
     def parse_expr(self, context: Graph) -> Condition:
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise ParseError("condition nested more than %d deep" % MAX_NESTING,
+                             tok.line, tok.col)
+        self.depth += 1
+        try:
+            return self.parse_operand(context)
+        finally:
+            self.depth -= 1
+
+    def parse_operand(self, context: Graph) -> Condition:
+        """One condition expression, its operands read by ``parse_expr``."""
         tok = self.peek()
         # a quoted token is a name, never a keyword
         keyword = tok.value if tok.kind == "ident" else None
@@ -486,12 +503,10 @@ class Parser:
         self.expect("to")
         rhs = self.resolve("sketch")
         try:
-            SketchMorphism(lhs, rhs, m)
+            rule = Rule.between(lhs, rhs, m)
         except MismatchError as exc:
             raise ValidationError("rule %r: %s" % (name, exc)) from exc
-        image = {translate_statement(m, s) for s in lhs.statements}
-        self._declare("rule", name,
-                      Rule(lhs, rhs, m, frozenset(rhs.statements - image)))
+        self._declare("rule", name, rule)
 
 
 def parse(text: str, doc: Optional[Document] = None) -> Document:

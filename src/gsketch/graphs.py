@@ -104,9 +104,10 @@ class GraphMorphism:
     """A graph homomorphism: total node and edge maps respecting incidence.
 
     ``node_map`` and ``edge_map`` are read-only views of private copies.
+    Equality compares the maps; the hash is computed on first use.
     """
 
-    __slots__ = ("dom", "cod", "node_map", "edge_map", "_key")
+    __slots__ = ("dom", "cod", "node_map", "edge_map", "_hash")
 
     def __init__(self, dom: Graph, cod: Graph,
                  node_map: Mapping[str, str], edge_map: Mapping[str, str]):
@@ -124,24 +125,43 @@ class GraphMorphism:
                node_map[dom.tgt[e]] != cod.tgt[edge_map[e]]:
                 raise MismatchError(
                     "edge %r: image does not respect source/target" % e)
-        node_map = {n: node_map[n] for n in dom.nodes}
-        edge_map = {e: edge_map[e] for e in dom.edges}
+        self._own(dom, cod, {n: node_map[n] for n in dom.nodes},
+                  {e: edge_map[e] for e in dom.edges})
+
+    @classmethod
+    def _trusted(cls, dom: Graph, cod: Graph, node_map: dict,
+                 edge_map: dict) -> "GraphMorphism":
+        """The morphism with these maps, unchecked and uncopied: the caller
+        guarantees that they are keyed by exactly the elements of ``dom``,
+        respect incidence, and are not changed afterwards."""
+        m = object.__new__(cls)
+        m._own(dom, cod, node_map, edge_map)
+        return m
+
+    def _own(self, dom, cod, node_map, edge_map):
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "node_map", MappingProxyType(node_map))
         object.__setattr__(self, "edge_map", MappingProxyType(edge_map))
-        object.__setattr__(self, "_key", (
-            dom, cod, tuple(sorted(node_map.items())),
-            tuple(sorted(edge_map.items()))))
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphMorphism is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, GraphMorphism) and self._key == other._key
+        return isinstance(other, GraphMorphism) and (
+            self is other or (self.node_map == other.node_map
+                              and self.edge_map == other.edge_map
+                              and self.dom == other.dom
+                              and self.cod == other.cod))
 
     def __hash__(self):
-        return hash(self._key)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.dom, self.cod, frozenset(self.node_map.items()),
+                      frozenset(self.edge_map.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         entries = ["%s->%s" % kv for kv in sorted(self.node_map.items())]
@@ -188,7 +208,7 @@ def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
     """Return f;g (apply f first)."""
     if f.cod != g.dom:
         raise MismatchError("cannot compose: codomain of f differs from domain of g")
-    return GraphMorphism(
+    return GraphMorphism._trusted(
         f.dom, g.cod,
         {n: g.node_map[f.node_map[n]] for n in f.dom.nodes},
         {e: g.edge_map[f.edge_map[e]] for e in f.dom.edges})
@@ -200,15 +220,15 @@ def is_monomorphism(m: GraphMorphism) -> bool:
 
 
 def is_isomorphism(m: GraphMorphism) -> bool:
-    return (is_monomorphism(m)
-            and len(m.dom.nodes) == len(m.cod.nodes)
-            and len(m.dom.edges) == len(m.cod.edges))
+    return (len(m.dom.nodes) == len(m.cod.nodes)
+            and len(m.dom.edges) == len(m.cod.edges)
+            and is_monomorphism(m))
 
 
 def invert(m: GraphMorphism) -> GraphMorphism:
     if not is_isomorphism(m):
         raise NotInvertibleError("morphism is not an isomorphism")
-    return GraphMorphism(
+    return GraphMorphism._trusted(
         m.cod, m.dom,
         {v: k for k, v in m.node_map.items()},
         {v: k for k, v in m.edge_map.items()})

@@ -127,6 +127,15 @@ def is_sketch_morphism(phi: GraphMorphism, k: Sketch, g: Sketch) -> bool:
     return all(translate_statement(phi, s) in g.statements for s in k.statements)
 
 
+def unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, made
+    without running its ``__post_init__`` check: for values that are valid
+    by construction."""
+    value = object.__new__(cls)
+    vars(value).update(fields)
+    return value
+
+
 @dataclass(frozen=True)
 class SketchMorphism:
     dom: Sketch
@@ -150,7 +159,9 @@ def sketch_pushout(m: SketchMorphism, r: SketchMorphism):
     statements = {translate_statement(po.right, s) for s in r.cod.statements}
     statements |= {translate_statement(po.left, s) for s in m.cod.statements}
     d = Sketch(po.object, statements)
-    return d, SketchMorphism(m.cod, d, po.left), SketchMorphism(r.cod, d, po.right)
+    # D holds the image of every statement of A and B
+    return (d, unchecked(SketchMorphism, dom=m.cod, cod=d, morphism=po.left),
+            unchecked(SketchMorphism, dom=r.cod, cod=d, morphism=po.right))
 
 
 def paired_statement(sb: Statement, sa: Statement, d: Graph) -> Statement:
@@ -186,7 +197,9 @@ def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
     d = Sketch(pb.object, [
         paired_statement(sb, sa, pb.object) for sb in m.dom.statements
         for sa in over_c.get(translate_statement(m.morphism, sb), ())])
-    return d, SketchMorphism(d, r.dom, pb.right), SketchMorphism(d, m.dom, pb.left)
+    # each statement of D projects to the pair it was built from
+    return (d, unchecked(SketchMorphism, dom=d, cod=r.dom, morphism=pb.right),
+            unchecked(SketchMorphism, dom=d, cod=m.dom, morphism=pb.left))
 
 
 class MultiSketch:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsketch.category import (PushoutResult, initial_graph, initial_morphism,
-                              pullback, pushout, tagged_quotient)
+                              pair_name, pullback, pushout, tagged_quotient)
 from gsketch.graphs import (EMPTY_GRAPH, MismatchError, compose,
                             enumerate_morphisms, graph_of, identity,
                             is_isomorphism, morphism_of)
@@ -112,6 +112,15 @@ class TestPullback:
         with pytest.raises(MismatchError):
             pullback(identity(G), identity(graph_of("x")))
 
+    def test_names_with_bars_stay_apart(self):
+        # unescaped, (a|b, c) and (a, b|c) would both be named a|b|c
+        c = graph_of("v")
+        m = morphism_of(graph_of("a|b a"), c, nodes={"a|b": "v", "a": "v"})
+        r = morphism_of(graph_of("c b|c"), c, nodes={"c": "v", "b|c": "v"})
+        pb = pullback(m, r)
+        assert pb.object.nodes == {"a\\|b|c", "a\\|b|b\\|c", "a|c", "a|b\\|c"}
+        assert verify_pullback(m, r, pb)
+
 
 class TestVerifiers:
     def test_rejects_wrong_disjoint_union(self):
@@ -151,10 +160,42 @@ class TestVerifiers:
         assert compose(identity(c), po.left) == compose(r, po.right)
 
 
+class TestPairName:
+    def test_plain_names_are_joined_as_they_are(self):
+        assert pair_name("b", "a") == "b|a"
+        assert pair_name("L:x", "") == "L:x|"
+
+    def test_bar_and_backslash_are_escaped(self):
+        assert pair_name("a|b", "c") == "a\\|b|c"
+        assert pair_name("a", "b|c") == "a|b\\|c"
+        assert pair_name("a\\", "|") == "a\\\\|\\|"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("ab|\\"), st.text("ab|\\"))
+    def test_pair_is_recovered(self, x, y):
+        # so distinct pairs never share a name
+        assert split_pair(pair_name(x, y)) == (x, y)
+
+
+def split_pair(name):
+    """The two names joined by ``pair_name``: the text on either side of
+    the one unescaped bar, with the escapes removed."""
+    parts, current, chars = [], [], iter(name)
+    for ch in chars:
+        if ch == "\\":
+            current.append(next(chars))
+        elif ch == "|":
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    return (*parts, "".join(current))
+
+
 @st.composite
-def quotient_inputs(draw):
+def quotient_inputs(draw, names=st.sampled_from("abcdefgh")):
     """Random left and right member sets and glue pairs between them."""
-    members = st.sets(st.sampled_from("abcdefgh"), max_size=6)
+    members = st.sets(names, max_size=6)
     left, right = draw(members), draw(members)
     pairs = st.tuples(st.sampled_from(sorted(left)),
                       st.sampled_from(sorted(right)))
@@ -167,6 +208,18 @@ class TestTaggedQuotient:
     @given(quotient_inputs())
     def test_agrees_with_union_find(self, inputs):
         assert tagged_quotient(*inputs) == union_find_quotient(*inputs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quotient_inputs(st.sampled_from(
+        ["", ":", "L", "R", "L:", "R:", "L:a", "R:a", ":a", "a:", "a", "b"])))
+    def test_agrees_with_union_find_on_tag_like_names(self, inputs):
+        assert tagged_quotient(*inputs) == union_find_quotient(*inputs)
+
+    def test_tag_like_names(self):
+        names_l, names_r = tagged_quotient(
+            {"", "R:a", "L"}, {"", "L:", ":"}, [("R:a", "L:"), ("L", "L:")])
+        assert names_l == {"": "L:", "R:a": "L:L", "L": "L:L"}
+        assert names_r == {"": "R:", "L:": "L:L", ":": "R::"}
 
     def test_class_named_by_least_tag(self):
         names_l, names_r = tagged_quotient(

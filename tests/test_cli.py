@@ -70,6 +70,16 @@ class TestCheck:
         err = capsys.readouterr().err
         assert code == 2 and "error:" in err
 
+    def test_deep_nesting_exits_two(self, corpus, tmp_path, capsys):
+        deep = tmp_path / "deep.sketch"
+        deep.write_text("condition deep over Empty = %strue\n"
+                        "constraint k = (deep, initial)\n" % ("not " * 3000))
+        code = main(["check", *corpus, str(deep), "--constraint", "k",
+                     "--sketch", "G"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1, column 829: condition nested more than 200 deep\n")
+
     def test_missing_file_exits_two(self, capsys):
         code = main(["check", "/nonexistent.sketch", "--all"])
         capsys.readouterr()

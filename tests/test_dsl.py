@@ -1,13 +1,17 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsketch.conditions import And, Bottom, Exists, Forall, Not, Or, Top
-from gsketch.dsl import (KEYWORDS, ConstraintDecl, Document, ParseError,
-                         ResolutionError, ValidationError, _tokenize,
-                         format_condition, parse, parse_files, print_document)
+from gsketch.dsl import (KEYWORDS, MAX_NESTING, ConstraintDecl, Document,
+                         ParseError, ResolutionError, ValidationError, _tokenize,
+                         format_condition, parse, parse_files, print_document,
+                         read_source)
 from gsketch.graphs import Graph, GraphMorphism, graph_of, inclusion
 from gsketch.oracles import conditions_equal_modulo_renaming
+from gsketch.sketches import translate_statement
 
 BASE = """
 graph Arrow { nodes v1 v2; edges e: v1 -> v2; }
@@ -218,6 +222,15 @@ rule bad = morphism emb from L to R
         with pytest.raises(ValidationError):
             parse(text)
 
+    def test_nesting_up_to_the_limit(self):
+        deepest = "not " * (MAX_NESTING - 1) + "true"
+        doc = parse(BASE + "graph E { }\ncondition c over E = " + deepest)
+        assert parse(print_document(doc)) == doc
+        with pytest.raises(ParseError, match="line 5, column %d: condition "
+                           "nested more than %d deep" % (22 + 4 * MAX_NESTING,
+                                                         MAX_NESTING)):
+            parse(BASE + "graph E { }\ncondition c over E = not " + deepest)
+
 
 class TestPrinting:
     def test_round_trip(self, doc):
@@ -295,6 +308,24 @@ class TestParseFiles:
         doc = parse_files(corpus_paths)
         assert set(doc.sketches) >= {"G", "Gprime"}
         assert set(doc.rules) == {"merge_composites", "monic_first_factor"}
+
+    def test_rule_statements_translated_once(self, corpus_paths, monkeypatch):
+        # the image of each lhs statement both checks the rule morphism and
+        # gives the added statements; rules.sketch has four lhs statements
+        doc = parse_files(corpus_paths[:3])
+        calls = []
+
+        def counting(phi, s):
+            calls.append(s)
+            return translate_statement(phi, s)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gsketch") and \
+                    getattr(module, "translate_statement", None) is translate_statement:
+                monkeypatch.setattr(module, "translate_statement", counting)
+        parse(read_source(corpus_paths[3]), doc)
+        assert set(doc.rules) == {"merge_composites", "monic_first_factor"}
+        assert len(calls) == 4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -226,6 +226,20 @@ class TestMultiSketches:
         assert s.predicate is MONIC
         assert s.binding.edge_map == {"e": "b|b"}
 
+    def test_pullback_ids_with_bars_stay_apart(self, fx):
+        # unescaped, the pairs (a|b, c) and (a, b|c) would share one name
+        g = fx.graph_g
+        s = monic_stmt(g, "b")
+        base = MultiSketch(g, {"k": s})
+        left = MultiSketch(g, {"a|b": s, "a": s})
+        right = MultiSketch(g, {"c": s, "b|c": s})
+        m = MultiSketchMorphism(left, base, identity(g), {"a|b": "k", "a": "k"})
+        r = MultiSketchMorphism(right, base, identity(g), {"c": "k", "b|c": "k"})
+        d, dm, dr = multi_pullback(m, r)
+        assert len(d.ids) == 4
+        assert {(dm.id_map[p], dr.id_map[p]) for p in d.ids} == {
+            (i, j) for i in left.ids for j in right.ids}
+
     def test_pullback_incompatible_pair_is_empty(self, fx):
         g = fx.graph_g
         base = MultiSketch(g, {"k": monic_stmt(g, "b"),
