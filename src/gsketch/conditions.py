@@ -201,9 +201,6 @@ class Constraint:
         if self.anchor.dom != self.condition.context:
             raise MismatchError("anchor domain differs from the condition context")
 
-    def is_global(self) -> bool:
-        return self.anchor.dom.is_empty()
-
 
 class _Budget:
     __slots__ = ("left",)
@@ -286,20 +283,26 @@ def violating_extensions(t: GraphMorphism, g: Sketch, c: Forall) -> list:
             if not _eval(r, g, c.body, budget).holds]
 
 
+def _conclusion(rule: SketchMorphism) -> Condition:
+    """The statements of R outside the image a(S1) of the premise, over R.
+    Where the premise holds at t, every r with a;r = t maps a(S1) onto
+    t(S1), which holds already, so only these are left to check."""
+    image = {translate_statement(rule.morphism, s) for s in rule.dom.statements}
+    return statements_conj(rule.cod.context, rule.cod.statements - image)
+
+
 def uc(rule: SketchMorphism) -> Condition:
     """Closed encoding of a positive universal constraint for a: L -> R."""
-    a = rule.morphism
-    l, r = rule.dom, rule.cod
-    body = Exists(l.context, statements_conj(l.context, l.statements), a,
-                  statements_conj(r.context, r.statements))
+    l = rule.dom
+    body = Exists(l.context, statements_conj(l.context, l.statements),
+                  rule.morphism, _conclusion(rule))
     return unguarded_forall(initial_morphism(l.context), body)
 
 
 def nuc(rule: SketchMorphism) -> Condition:
     """Closed encoding of a negative universal constraint for a: L -> R."""
-    a = rule.morphism
-    l, r = rule.dom, rule.cod
-    inner = unguarded_exists(a, statements_conj(r.context, r.statements))
+    l = rule.dom
+    inner = unguarded_exists(rule.morphism, _conclusion(rule))
     body = implication(statements_conj(l.context, l.statements),
                        Not(l.context, inner))
     return unguarded_forall(initial_morphism(l.context), body)

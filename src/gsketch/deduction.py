@@ -27,62 +27,36 @@ class CertificationError(ValueError):
     """A constraint offered as certified does not hold on its sketch."""
 
 
-@dataclass(frozen=True)
-class Rule:
-    """A transformation rule a: (L, S1) -> (R, S2 + a(S1))."""
-    lhs: Sketch
-    rhs: Sketch
-    morphism: GraphMorphism  # L -> R at context level
-    added_statements: frozenset
+class Rule(SketchMorphism):
+    """A transformation rule: the sketch morphism a: (L, S1) -> (R, S2 + a(S1))
+    whose matches are the violations of its universal constraint."""
 
     @classmethod
     def build(cls, lhs: Sketch, morphism: GraphMorphism,
-              added_statements: Iterable[Statement]) -> "Rule":
-        """The rule whose rhs holds ``added_statements`` and the lhs image."""
-        added = frozenset(added_statements)
-        image = _lhs_image(lhs, morphism, morphism.cod)
-        return unchecked(cls, lhs=lhs, rhs=Sketch(morphism.cod, added | image),
-                         morphism=morphism, added_statements=added)
+              added: Iterable[Statement]) -> "Rule":
+        """The rule along ``morphism`` whose rhs holds the ``added`` statements
+        and the lhs image."""
+        if morphism.dom != lhs.context:
+            raise MismatchError("rule morphism endpoints differ from the sketches")
+        image = {translate_statement(morphism, s) for s in lhs.statements}
+        return unchecked(cls, dom=lhs, morphism=morphism, cod=Sketch(
+            morphism.cod, image.union(added)))
 
-    @classmethod
-    def between(cls, lhs: Sketch, rhs: Sketch,
-                morphism: GraphMorphism) -> "Rule":
-        """The rule of the sketch morphism lhs -> rhs: it adds the statements
-        of rhs outside the lhs image."""
-        image = _lhs_image(lhs, morphism, rhs.context)
-        if not image <= rhs.statements:
-            raise MismatchError("morphism does not preserve statements")
-        return unchecked(cls, lhs=lhs, rhs=rhs, morphism=morphism,
-                         added_statements=rhs.statements - image)
+    @property
+    def lhs(self) -> Sketch:
+        return self.dom
 
-    def __post_init__(self):
-        image = _lhs_image(self.lhs, self.morphism, self.rhs.context)
-        if self.rhs.statements != frozenset(self.added_statements) | image:
-            raise MismatchError(
-                "rhs statements must be the added ones plus the lhs image")
-
-    def as_sketch_morphism(self) -> SketchMorphism:
-        return self._sketch_morphism
+    @property
+    def rhs(self) -> Sketch:
+        return self.cod
 
     # Built on first use and kept on the instance; equality and hashing
     # still see only the fields.
     @cached_property
-    def _sketch_morphism(self) -> SketchMorphism:
-        return SketchMorphism(self.lhs, self.rhs, self.morphism)
-
-    @cached_property
     def universal_constraint(self) -> Condition:
-        """``uc`` of the rule's sketch morphism: its matches are the
-        violations of this closed condition."""
-        return uc(self.as_sketch_morphism())
-
-
-def _lhs_image(lhs: Sketch, morphism: GraphMorphism, rhs_context) -> frozenset:
-    """The statements a(S1) of a rule morphism a: L -> R, checking that a
-    runs from the lhs context to ``rhs_context``."""
-    if morphism.dom != lhs.context or morphism.cod != rhs_context:
-        raise MismatchError("rule morphism endpoints differ from the sketches")
-    return frozenset(translate_statement(morphism, s) for s in lhs.statements)
+        """``uc`` of the rule: its matches are the violations of this closed
+        condition."""
+        return uc(self)
 
 
 def _statement_set(cond: Condition):
@@ -148,8 +122,10 @@ def apply_rule(rule: Rule, match: GraphMorphism, g: Sketch):
     if (match.dom != rule.lhs.context or match.cod != g.context
             or satisfies(match, g, rule.universal_constraint.body).holds):
         raise MismatchError("morphism is not a valid match for this rule")
-    h, t_star, a_star = sketch_pushout(rule.as_sketch_morphism(),
-                                       SketchMorphism(rule.lhs, g, match))
+    # the body of uc(rule) fails only where its guard, the premise, holds,
+    # so the match preserves the lhs statements
+    h, t_star, a_star = sketch_pushout(
+        rule, unchecked(SketchMorphism, dom=rule.lhs, cod=g, morphism=match))
     return h, a_star, t_star
 
 
@@ -229,7 +205,7 @@ def skolemize(k: Constraint, g: Sketch):
     lhs = Sketch(cond.shift.dom)
     rule = Rule.build(lhs, cond.shift, added)
     t = SketchMorphism(lhs, g, k.anchor)
-    h, t_star, a_star = sketch_pushout(rule.as_sketch_morphism(), t)
+    h, t_star, a_star = sketch_pushout(rule, t)
     new = Constraint(statements_conj(rule.rhs.context, added), t_star.morphism)
     return h, new, a_star
 

@@ -503,7 +503,7 @@ class Parser:
         self.expect("to")
         rhs = self.resolve("sketch")
         try:
-            rule = Rule.between(lhs, rhs, m)
+            rule = Rule(lhs, rhs, m)
         except MismatchError as exc:
             raise ValidationError("rule %r: %s" % (name, exc)) from exc
         self._declare("rule", name, rule)

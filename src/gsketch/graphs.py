@@ -26,11 +26,12 @@ class NotInvertibleError(ValueError):
 class Graph:
     """A finite directed multigraph with string-named nodes and edges.
 
-    ``src`` and ``tgt`` are read-only views of private copies, so the hash
-    computed at construction stays in step with ``==``.
+    A graph is its four fields: ``==`` compares them, and the hash is that
+    of the node and edge sets, whose own hashes frozenset caches.  ``src``
+    and ``tgt`` are read-only views of private copies.
     """
 
-    __slots__ = ("nodes", "edges", "src", "tgt", "_key")
+    __slots__ = ("nodes", "edges", "src", "tgt")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[str],
                  src: Mapping[str, str], tgt: Mapping[str, str]):
@@ -38,18 +39,18 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(self, "src", MappingProxyType(dict(src)))
         object.__setattr__(self, "tgt", MappingProxyType(dict(tgt)))
-        object.__setattr__(self, "_key", (
-            self.nodes, self.edges,
-            tuple(sorted(self.src.items())), tuple(sorted(self.tgt.items()))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self._key == other._key
+        return self is other or (
+            isinstance(other, Graph) and self.nodes == other.nodes
+            and self.edges == other.edges and self.src == other.src
+            and self.tgt == other.tgt)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.nodes, self.edges))
 
     def __repr__(self):
         edges = ", ".join("%s:%s->%s" % (e, self.src[e], self.tgt[e])
@@ -256,7 +257,8 @@ def _search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
     for n, img in node_seed.items():
         if img not in cod.nodes:
             return
-        node_map[n] = img
+        if n in dom.nodes:
+            node_map[n] = img
     for e, img in edge_seed.items():
         if img not in cod.edges:
             return
@@ -300,7 +302,10 @@ def _search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
                        for e in free_edges]
             for images in product(*buckets):
                 edge_map.update(zip(free_edges, images))
-                yield GraphMorphism(dom, cod, node_map, edge_map)
+                # keyed by exactly dom, and every edge image joins the
+                # images of its endpoints
+                yield GraphMorphism._trusted(dom, cod, dict(node_map),
+                                             dict(edge_map))
             return
         n, pairs, (adjacent, other) = free_nodes[i], checks[i], via[i]
         images = cod_nodes if adjacent is None else adjacent.get(node_map[other], ())

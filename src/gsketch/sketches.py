@@ -170,7 +170,7 @@ def paired_statement(sb: Statement, sa: Statement, d: Graph) -> Statement:
     two images.  Both statements share a predicate, and their images in the
     cospan's codomain agree."""
     arity = sb.predicate.arity
-    return Statement(sb.predicate, GraphMorphism(
+    return Statement(sb.predicate, GraphMorphism._trusted(
         arity, d,
         {n: pair_name(sb.binding.node_map[n], sa.binding.node_map[n])
          for n in arity.nodes},
@@ -270,9 +270,11 @@ def multi_pushout(m: MultiSketchMorphism, r: MultiSketchMorphism):
     for i in r.cod.ids:
         stm[ids_r[i]] = translate_statement(po.right, r.cod.stm[i])
     d = MultiSketch(po.object, stm)
-    left = MultiSketchMorphism(m.cod, d, po.left, ids_l)
-    right = MultiSketchMorphism(r.cod, d, po.right, ids_r)
-    return d, left, right
+    # each identifier's statement is translated along its own leg
+    return (d, unchecked(MultiSketchMorphism, dom=m.cod, cod=d,
+                         morphism=po.left, id_map=ids_l),
+            unchecked(MultiSketchMorphism, dom=r.cod, cod=d,
+                      morphism=po.right, id_map=ids_r))
 
 
 def multi_pullback(m: MultiSketchMorphism, r: MultiSketchMorphism):
@@ -293,8 +295,10 @@ def multi_pullback(m: MultiSketchMorphism, r: MultiSketchMorphism):
     d = MultiSketch(pb.object, {
         p: paired_statement(m.dom.stm[i], r.dom.stm[j], pb.object)
         for p, (i, j) in pairs.items()})
-    left = MultiSketchMorphism(d, m.dom, pb.left,
-                               {p: i for p, (i, _) in pairs.items()})
-    right = MultiSketchMorphism(d, r.dom, pb.right,
-                                {p: j for p, (_, j) in pairs.items()})
-    return d, left, right
+    # each paired statement projects to the two it was built from
+    return (d, unchecked(MultiSketchMorphism, dom=d, cod=m.dom,
+                         morphism=pb.left,
+                         id_map={p: i for p, (i, _) in pairs.items()}),
+            unchecked(MultiSketchMorphism, dom=d, cod=r.dom,
+                      morphism=pb.right,
+                      id_map={p: j for p, (_, j) in pairs.items()}))

@@ -237,9 +237,8 @@ def direct_nuc_holds(rule, g):
 class TestUcNuc:
     def _rules(self, fx):
         from gsketch.deduction import rule_from_condition
-        return [rule_from_condition(fx.conditions["phi3"]).as_sketch_morphism(),
-                rule_from_condition(fx.conditions["phi6"]).as_sketch_morphism(),
-                rule_from_condition(fx.conditions["phi5"]).as_sketch_morphism()]
+        return [rule_from_condition(fx.conditions[name])
+                for name in ("phi3", "phi6", "phi5")]
 
     def test_uc_matches_direct_definition(self, fx):
         for rule in self._rules(fx):

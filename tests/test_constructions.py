@@ -1,19 +1,24 @@
-"""Differential tests for the constructions that build their morphisms
-without validation: every leg of a pushout, pullback, composite, inverse,
-chosen pushout and sketch (co)limit equals its rebuild through the
-validating ``GraphMorphism(...)``.  The spans and cospans are random, their
-legs often not injective, and their element names hold the characters that
-pushout and pullback names are made of."""
+"""Differential tests for the constructions that build their values
+without validation: every morphism a search yields, every leg of a pushout,
+pullback, composite, inverse, chosen pushout and (multi-)sketch (co)limit,
+every paired statement binding and every rule match equals its rebuild
+through the validating constructor.  The graphs, spans and cospans are
+random, their legs often not injective, and their element names hold the
+characters that pushout and pullback names are made of."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsketch.category import pullback, pushout
 from gsketch.ct import COMP, FINAL, MONIC
-from gsketch.graphs import (Graph, GraphMorphism, compose, enumerate_morphisms,
+from gsketch.deduction import Rule, apply_rule, find_matches
+from gsketch.graphs import (Graph, GraphMorphism, compose,
+                            enumerate_extensions, enumerate_morphisms,
                             identity, invert)
 from gsketch.oracles import verify_pullback, verify_pushout
-from gsketch.sketches import (Sketch, SketchMorphism, Statement,
-                              sketch_pullback, sketch_pushout)
+from gsketch.sketches import (MultiSketch, MultiSketchMorphism, Sketch,
+                              SketchMorphism, Statement, multi_pullback,
+                              multi_pushout, sketch_pullback, sketch_pushout,
+                              statement_key, translate_statement)
 from gsketch.translation import chosen_pushout
 
 from test_graphs import small_graphs
@@ -31,6 +36,12 @@ def assert_valid(m):
 def assert_valid_sketch_leg(leg):
     assert_valid(leg.morphism)
     assert SketchMorphism(leg.dom, leg.cod, leg.morphism) == leg
+
+
+def assert_valid_multi_leg(leg):
+    assert_valid(leg.morphism)
+    assert MultiSketchMorphism(leg.dom, leg.cod, leg.morphism,
+                               leg.id_map) == leg
 
 
 @st.composite
@@ -94,12 +105,27 @@ def cospans(draw):
     return tuple(legs)
 
 
-def some_statements(draw, g):
+def some_statements(draw, g, max_size=4):
     candidates = [Statement(p, b) for p in (FINAL, MONIC, COMP)
                   for b in enumerate_morphisms(p.arity, g)]
     if not candidates:
         return set()
-    return draw(st.sets(st.sampled_from(candidates), max_size=4))
+    return draw(st.sets(st.sampled_from(candidates), max_size=max_size))
+
+
+def identified(statements, prefix):
+    """A multi-sketch family: one identifier per statement, in a fixed
+    order."""
+    return {"%s%d" % (prefix, i): s
+            for i, s in enumerate(sorted(statements, key=statement_key))}
+
+
+def image_ids(family, leg, target):
+    """The identifier map sending each statement of ``family`` to the
+    identifier of its image along ``leg`` in the family ``target``."""
+    by_statement = {s: j for j, s in target.items()}
+    return {i: by_statement[translate_statement(leg, s)]
+            for i, s in family.items()}
 
 
 class TestGraphLegs:
@@ -142,6 +168,23 @@ class TestGraphLegs:
         assert compose(inverse, iso) == identity(iso.cod)
 
 
+class TestSearchOutput:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(max_nodes=3, max_edges=3),
+           small_graphs(max_nodes=3, max_edges=4))
+    def test_enumerate_morphisms(self, a, g):
+        for m in enumerate_morphisms(a, g):
+            assert_valid(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spans())
+    def test_enumerate_extensions(self, span):
+        m, r = span
+        for x in enumerate_extensions(m, r):
+            assert_valid(x)
+            assert compose(m, x) == r
+
+
 class TestSketchLegs:
     @settings(max_examples=200, deadline=None)
     @given(spans(), st.data())
@@ -170,3 +213,71 @@ class TestSketchLegs:
         assert (to_a.dom, to_a.cod, to_b.dom, to_b.cod) == (d, a, d, b)
         assert_valid_sketch_leg(to_a)
         assert_valid_sketch_leg(to_b)
+        for s in d.statements:
+            assert_valid(s.binding)
+
+
+class TestMultiSketchLegs:
+    @settings(max_examples=200, deadline=None)
+    @given(spans(), st.data())
+    def test_multi_pushout(self, span, data):
+        m, r = span
+        # the apex statements go to statements of B and A, where images
+        # that coincide share an identifier; B and A have more of their own
+        apex = identified(some_statements(data.draw, m.dom), "c")
+        sides = []
+        for leg, prefix in ((m, "b"), (r, "a")):
+            family = identified({translate_statement(leg, s)
+                                 for s in apex.values()}
+                                | some_statements(data.draw, leg.cod, 2),
+                                prefix)
+            sides.append(MultiSketchMorphism(
+                MultiSketch(leg.dom, apex), MultiSketch(leg.cod, family),
+                leg, image_ids(apex, leg, family)))
+        d, left, right = multi_pushout(*sides)
+        assert (left.dom, left.cod, right.dom, right.cod) == (
+            sides[0].cod, d, sides[1].cod, d)
+        assert_valid_multi_leg(left)
+        assert_valid_multi_leg(right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cospans(), st.data())
+    def test_multi_pullback(self, cospan, data):
+        m, r = cospan
+        b = identified(some_statements(data.draw, m.dom), "b")
+        a = identified(some_statements(data.draw, r.dom), "a")
+        c = identified({translate_statement(leg, s)
+                        for family, leg in ((b, m), (a, r))
+                        for s in family.values()}, "c")
+        base = MultiSketch(m.cod, c)
+        d, left, right = multi_pullback(
+            MultiSketchMorphism(MultiSketch(m.dom, b), base, m,
+                                image_ids(b, m, c)),
+            MultiSketchMorphism(MultiSketch(r.dom, a), base, r,
+                                image_ids(a, r, c)))
+        assert (left.dom, right.dom) == (d, d)
+        assert_valid_multi_leg(left)
+        assert_valid_multi_leg(right)
+        for s in d.stm.values():
+            assert_valid(s.binding)
+
+
+class TestRuleApplication:
+    @settings(max_examples=200, deadline=None)
+    @given(spans(), st.data())
+    def test_match_leg(self, span, data):
+        """A rule along one leg of the span, applied to a host over the
+        other leg's codomain that holds the image of the premise."""
+        a, t = span
+        lhs = Sketch(a.dom, some_statements(data.draw, a.dom, 2))
+        rule = Rule.build(lhs, a, some_statements(data.draw, a.cod, 2))
+        host = Sketch(t.cod, {translate_statement(t, s)
+                              for s in lhs.statements}
+                      | some_statements(data.draw, t.cod, 2))
+        for match in find_matches(rule, host):
+            assert_valid(match)
+            leg = SketchMorphism(rule.lhs, host, match)
+            h, a_star, t_star = apply_rule(rule, match, host)
+            assert sketch_pushout(rule, leg) == (h, t_star, a_star)
+            assert_valid_sketch_leg(a_star)
+            assert_valid_sketch_leg(t_star)

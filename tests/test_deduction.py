@@ -14,6 +14,7 @@ from gsketch.deduction import (CertificationError, ConstrainedSketch,
                                repair_to_fixpoint, rule_from_condition,
                                skolemize, statement_to_constraint,
                                universal_elim)
+from gsketch.dsl import parse_files
 from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
                             morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
@@ -33,11 +34,17 @@ def premise_condition(rule):
     return statements_conj(rule.lhs.context, rule.lhs.statements)
 
 
+def added_statements(rule):
+    """The statements of the rhs outside the image of the lhs."""
+    return rule.rhs.statements - {translate_statement(rule.morphism, s)
+                                  for s in rule.lhs.statements}
+
+
 def nac_condition(rule):
     """The negative application condition: no completion along the rule."""
     return Not(rule.lhs.context, unguarded_exists(
         rule.morphism,
-        statements_conj(rule.rhs.context, rule.added_statements)))
+        statements_conj(rule.rhs.context, added_statements(rule))))
 
 
 def reference_matches(rule, g):
@@ -65,14 +72,13 @@ class TestRuleShapes:
     def test_phi3_shape(self, fx):
         r = rule3(fx)
         assert len(r.lhs.statements) == 2
-        assert r.added_statements == frozenset()
+        assert added_statements(r) == frozenset()
         assert r.morphism.edge_map["e3"] == r.morphism.edge_map["e4"]
 
     def test_phi6_identity_shape(self, fx):
         r = rule6(fx)
         assert r.morphism == identity(r.lhs.context)
-        assert len(r.added_statements) == 1
-        (s,) = r.added_statements
+        (s,) = added_statements(r)
         assert s.predicate is MONIC and s.binding.edge_map == {"e": "e1"}
 
     def test_phi5_identity_shape(self, fx):
@@ -98,7 +104,7 @@ class TestRuleShapes:
         lhs = Sketch(arrow, [Statement(MONIC, identity(arrow))])
         rhs = Sketch(arrow)  # drops the image of the lhs statement
         with pytest.raises(MismatchError):
-            Rule(lhs, rhs, identity(arrow), frozenset())
+            Rule(lhs, rhs, identity(arrow))
 
     def test_nac_and_premise_shape(self, fx):
         r = rule3(fx)
@@ -173,7 +179,7 @@ class TestMatchesDifferential:
         monkeypatch.setattr(conditions, "well_formed", counting)
         r = rule3(fx)
         assert len(find_matches(r, fx.sketch_g)) == 2
-        assert checked == [uc(r.as_sketch_morphism())]
+        assert checked == [uc(r)]
 
 
 class TestRuleCaching:
@@ -191,7 +197,7 @@ class TestRuleCaching:
         assert len(first) == 2
         h, _, _ = apply_rule(r, first[0], fx.sketch_g)
         assert find_matches(r, h) == reference_matches(r, h)
-        assert built == [r.as_sketch_morphism()]
+        assert built == [r]
 
     def test_sketch_morphism_validated_once(self, fx, monkeypatch):
         validated = []
@@ -205,15 +211,35 @@ class TestRuleCaching:
         for _ in range(2):
             for t in find_matches(r, fx.sketch_g):
                 apply_rule(r, t, fx.sketch_g)
-        # each application validates its match; the rule's own morphism
-        # is validated once
-        assert validated.count(r.morphism) == 1
+        # the rule, its matches and the pushout legs are valid by
+        # construction, so nothing is validated again
+        assert validated == []
+
+    def test_dsl_rule_validated_once(self, corpus_paths, monkeypatch):
+        validated = []
+
+        def counting(m, dom, cod):
+            validated.append(m)
+            return is_sketch_morphism(m, dom, cod)
+
+        monkeypatch.setattr(sketches, "is_sketch_morphism", counting)
+        rules = list(parse_files(corpus_paths).rules.values())
+        # one check per declared rule, at its declaration, and no other
+        assert len(rules) == 2
+        assert [id(m) for m in validated] == [id(r.morphism) for r in rules]
+
+    def test_uc_gives_back_the_rule(self, fx, doc):
+        rules = list(doc.rules.values()) + [
+            rule_from_condition(fx.conditions[name])
+            for name in ("phi3", "phi5", "phi6")]
+        for r in rules:
+            assert rule_from_condition(uc(r)) == r
 
     def test_cached_values_leave_equality_alone(self, fx):
         used, fresh = rule3(fx), rule3(fx)
         used.universal_constraint
         assert used == fresh and hash(used) == hash(fresh)
-        assert fresh.universal_constraint == uc(fresh.as_sketch_morphism())
+        assert fresh.universal_constraint == uc(fresh)
 
     def test_repair_trace_unchanged_by_reuse(self, fx):
         rules = [rule3(fx), rule6(fx)]

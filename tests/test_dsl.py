@@ -219,7 +219,19 @@ sketch L over FP on Arrow { stmt monic via { e -> e }; }
 sketch R over FP on Pair { }
 rule bad = morphism emb from L to R
 """
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^rule 'bad': morphism "
+                           "does not preserve statements$"):
+            parse(text)
+
+    def test_rule_morphism_must_start_at_the_lhs(self):
+        text = BASE + """
+graph Pair { nodes v1 v2; edges e: v1 -> v2, f: v1 -> v2; }
+morphism emb : Arrow -> Pair { edges e -> e; }
+sketch L over FP on Pair { }
+rule bad = morphism emb from L to L
+"""
+        with pytest.raises(ValidationError, match="^rule 'bad': morphism "
+                           "endpoints differ from the sketch contexts$"):
             parse(text)
 
     def test_nesting_up_to_the_limit(self):

@@ -75,6 +75,33 @@ class TestValidation:
         assert t == morphism_of(K1, G, edges={"e1": "a", "e2": "b"})
 
 
+class TestIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_shuffled_inputs_give_equal_graphs(self, g, rnd):
+        def shuffled(items):
+            items = list(items)
+            rnd.shuffle(items)
+            return items
+
+        again = Graph(shuffled(g.nodes), shuffled(g.edges),
+                      dict(shuffled(g.src.items())),
+                      dict(shuffled(g.tgt.items())))
+        assert again == g and g == again and hash(again) == hash(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_moving_one_endpoint_gives_another_graph(self, g, data):
+        assume(g.edges and len(g.nodes) > 1)
+        e = data.draw(st.sampled_from(sorted(g.edges)))
+        side = data.draw(st.sampled_from(["src", "tgt"]))
+        ends = dict(getattr(g, side))
+        ends[e] = data.draw(st.sampled_from(sorted(g.nodes - {ends[e]})))
+        moved = Graph(g.nodes, g.edges, **{"src": g.src, "tgt": g.tgt,
+                                           side: ends})
+        assert moved != g and g != moved
+
+
 class TestComposition:
     def test_identity_left(self):
         t = morphism_of(K1, G, edges={"e1": "a", "e2": "b"})
@@ -227,6 +254,11 @@ class TestEnumeration:
         # node names compare as strings, so "9" is the last start node
         assert got[-1] == morphism_of(
             l3, chain, edges={"e1": "a9", "e2": "a10", "e3": "d9", "e4": "d9"})
+
+    def test_seed_outside_the_domain_is_ignored(self):
+        got = enumerate_morphisms_extending(MONIC_ARITY, G, {"zz": "1"}, {})
+        assert got == enumerate_morphisms(MONIC_ARITY, G)
+        assert all(m.node_map.keys() == {"v1", "v2"} for m in got)
 
 
 class TestExtensions:
