@@ -3,7 +3,8 @@
 from .graphs import (Graph, GraphMorphism, MismatchError, NotInvertibleError,
                      compose, enumerate_extensions, enumerate_morphisms,
                      graph_of, identity, invert, is_isomorphism,
-                     is_monomorphism, morphism_of, validate_graph)
+                     is_monomorphism, iter_extensions, morphism_of,
+                     validate_graph)
 from .category import (PullbackResult, PushoutResult, initial_graph,
                        initial_morphism, pullback, pushout)
 from .sketches import (Footprint, MultiSketch, MultiSketchMorphism,
@@ -12,9 +13,9 @@ from .sketches import (Footprint, MultiSketch, MultiSketchMorphism,
                        sketch_pullback, sketch_pushout, translate_statement)
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          Junction, Not, Or, Quantifier, Stmt, Top, Verdict,
-                         check_constraint, conj, implication, is_closed, nuc,
-                         satisfies, statements_conj, stmt, uc,
-                         unguarded_exists, unguarded_forall,
+                         check_constraint, conj, implication, is_closed,
+                         iter_violations, nuc, satisfies, statements_conj,
+                         stmt, uc, unguarded_exists, unguarded_forall,
                          violating_extensions, well_formed)
 from .translation import chosen_pushout, translate_condition
 from .deduction import (CertificationError, ConstrainedSketch, Rule,

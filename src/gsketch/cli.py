@@ -262,7 +262,11 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
                              % (lineno, raw.split("#", 1)[0].strip())) from exc
         except (InputError, MismatchError, RuleShapeError, CertificationError,
                 ResolutionError, ValidationError) as exc:
-            raise InputError("line %d: %s" % (lineno, exc)) from exc
+            # the parser locates its errors on this line already
+            message = str(exc)
+            if not message.startswith("line %d, column " % lineno):
+                message = "line %d: %s" % (lineno, message)
+            raise InputError(message) from exc
     return store
 
 

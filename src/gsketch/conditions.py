@@ -19,11 +19,11 @@ evaluator has one case per node family (``Junction``, ``Quantifier``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .category import initial_morphism
 from .graphs import (Graph, GraphMorphism, MismatchError, enumerate_extensions,
-                     identity)
+                     identity, iter_extensions)
 from .sketches import (Sketch, SketchMorphism, Statement, statement_key,
                        translate_statement)
 
@@ -268,19 +268,31 @@ def check_constraint(g: Sketch, k: Constraint) -> Verdict:
     return satisfies(k.anchor, g, k.condition)
 
 
-def violating_extensions(t: GraphMorphism, g: Sketch, c: Forall) -> list:
+def iter_violations(t: GraphMorphism, g: Sketch,
+                    c: Forall) -> Iterator[GraphMorphism]:
     """The counterexample extensions r: M -> G, a;r = t, of a universal
-    condition, in canonical order; none if the guard fails at t.  The
-    condition is checked for well-formedness once, and the guard and every
-    extension are evaluated under one step budget."""
+    condition, drawn one at a time in canonical order; none if the guard
+    fails at t.  The shape, the endpoints and well-formedness are checked
+    at once, before the first draw; the guard and every extension drawn
+    are evaluated under one step budget.  Extensions past the last one
+    drawn are never searched for."""
     if not isinstance(c, Forall):
         raise TypeError("expected a universally quantified condition")
     _validate(t, g, c)
-    budget = _Budget(DEFAULT_BUDGET)
+    return _violations(t, g, c, _Budget(DEFAULT_BUDGET))
+
+
+def _violations(t, g, c, budget):
     if not _eval(t, g, c.guard, budget).holds:
-        return []
-    return [r for r in enumerate_extensions(c.shift, t)
-            if not _eval(r, g, c.body, budget).holds]
+        return
+    for r in iter_extensions(c.shift, t):
+        if not _eval(r, g, c.body, budget).holds:
+            yield r
+
+
+def violating_extensions(t: GraphMorphism, g: Sketch, c: Forall) -> list:
+    """Every counterexample of :func:`iter_violations`, in canonical order."""
+    return list(iter_violations(t, g, c))
 
 
 def _conclusion(rule: SketchMorphism) -> Condition:

@@ -11,9 +11,8 @@ from typing import Iterable
 
 from .category import initial_morphism
 from .conditions import (And, Condition, Constraint, Exists, Forall, Stmt,
-                         Top, check_constraint, conj, satisfies,
-                         statements_conj, uc, unguarded_exists,
-                         violating_extensions)
+                         Top, check_constraint, conj, iter_violations,
+                         satisfies, statements_conj, uc, unguarded_exists)
 from .graphs import GraphMorphism, MismatchError, compose, identity
 from .sketches import (Sketch, SketchMorphism, Statement, sketch_pushout,
                        translate_statement, unchecked)
@@ -103,13 +102,18 @@ def rule_from_condition(cond: Condition) -> Rule:
     return Rule.build(lhs, body.shift, conclusion)
 
 
+def _iter_matches(rule: Rule, g: Sketch):
+    """The matches of the rule, drawn one at a time in canonical order."""
+    return iter_violations(initial_morphism(g.context), g,
+                           rule.universal_constraint)
+
+
 def find_matches(rule: Rule, g: Sketch) -> list:
     """All matches of the rule in canonical order: the violations of its
     universal constraint ``uc(rule)``, i.e. the t: L -> G at which the premise
     statements hold and no completion along the rule morphism exists (the
     negative application condition)."""
-    return violating_extensions(initial_morphism(g.context), g,
-                                rule.universal_constraint)
+    return list(_iter_matches(rule, g))
 
 
 def apply_rule(rule: Rule, match: GraphMorphism, g: Sketch):
@@ -140,7 +144,9 @@ class RepairStep:
 
 def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
     """Repeatedly apply the first matching rule (rule order, then canonical
-    match order), one application per iteration.
+    match order), one application per iteration.  Only that first match is
+    searched for: a rule's matches are drawn until one is found, and later
+    rules are not tried once one has matched.
 
     Returns ``(final sketch, steps, exhausted)``: ``steps`` is the list of
     :class:`RepairStep` in firing order, and ``exhausted`` is True when the
@@ -151,8 +157,9 @@ def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
     steps = []
     current = g
     while True:
-        fired = next(((rule, matches[0]) for rule in rules
-                      if (matches := find_matches(rule, current))), None)
+        fired = next(((rule, match) for rule in rules
+                      if (match := next(_iter_matches(rule, current), None))
+                      is not None), None)
         if fired is None or len(steps) == max_steps:
             return current, steps, fired is not None
         rule, match = fired

@@ -3,10 +3,13 @@
 Graphs and morphisms are immutable values; every operation returns a new
 value.  Enumeration is deterministic: elements are assigned in lexicographic
 order (nodes first, then edges) and candidate targets are tried in
-lexicographic order.  Every enumeration goes through :func:`_search`, which
-indexes the codomain edges by their endpoints and drops a partial node map as
+lexicographic order.  Every enumeration goes through the generator
+:func:`search`, which reads the codomain's edges through an index by their
+endpoints, built once per graph on first use, and drops a partial node map as
 soon as some domain edge between its nodes has no image; since only maps that
-no homomorphism extends are dropped, this canonical order is kept.
+no homomorphism extends are dropped, this canonical order is kept.  Callers
+that need only the first result draw it from :func:`search` or
+:func:`iter_extensions`; the ``enumerate_*`` functions list every result.
 """
 from __future__ import annotations
 
@@ -28,10 +31,12 @@ class Graph:
 
     A graph is its four fields: ``==`` compares them, and the hash is that
     of the node and edge sets, whose own hashes frozenset caches.  ``src``
-    and ``tgt`` are read-only views of private copies.
+    and ``tgt`` are read-only views of private copies.  The index that
+    :func:`search` reads when the graph is a codomain is built on first use
+    and kept in a private slot that equality, hashing and ``repr`` ignore.
     """
 
-    __slots__ = ("nodes", "edges", "src", "tgt")
+    __slots__ = ("nodes", "edges", "src", "tgt", "_index")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[str],
                  src: Mapping[str, str], tgt: Mapping[str, str]):
@@ -59,6 +64,26 @@ class Graph:
 
     def is_empty(self) -> bool:
         return not self.nodes and not self.edges
+
+    def _search_index(self):
+        """``(between, succ, pred, nodes)``: the sorted edges between each
+        (source, target) pair that has one, the sorted successors and
+        predecessors of each node along those pairs, and the sorted nodes.
+        Shared by every search into this graph, so never mutated."""
+        try:
+            return self._index
+        except AttributeError:
+            between: dict = {}
+            for e in sorted(self.edges):
+                between.setdefault((self.src[e], self.tgt[e]), []).append(e)
+            succ: dict = {}
+            pred: dict = {}
+            for s, t in sorted(between):
+                succ.setdefault(s, []).append(t)
+                pred.setdefault(t, []).append(s)
+            index = (between, succ, pred, sorted(self.nodes))
+            object.__setattr__(self, "_index", index)
+            return index
 
 
 EMPTY_GRAPH = Graph((), (), {}, {})
@@ -235,21 +260,25 @@ def invert(m: GraphMorphism) -> GraphMorphism:
         {v: k for k, v in m.edge_map.items()})
 
 
-def _search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
-            edge_seed: Mapping[str, str]) -> Iterator[GraphMorphism]:
-    """Backtracking enumeration of all homomorphisms extending a partial map.
+def search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
+           edge_seed: Mapping[str, str]) -> Iterator[GraphMorphism]:
+    """Backtracking enumeration of all homomorphisms extending a partial map,
+    drawn one at a time.
 
     Yields in canonical order: dom elements are assigned in lexicographic
     order, nodes before edges, candidate targets in lexicographic order.
+    A node seed for a name outside dom is ignored; a seed image outside
+    the codomain, or seeds that disagree, give nothing.
 
-    The codomain edges are indexed once per call by (source, target).  A
-    node image is rejected as soon as some dom edge between placed nodes
-    (seeded ones or earlier in the order) has no codomain edge between their
-    images; a node joined by an edge to an earlier-placed one only tries the
-    sorted neighbours of that one's image.  An edge slot iterates the sorted
-    index entry of its endpoint images.  Only partial maps that no
-    homomorphism extends are skipped, so the output is the same list, in the
-    same order, as trying every node map.
+    The codomain edges are read through ``cod``'s index by (source,
+    target), built on the first search into ``cod``.  A node image is
+    rejected as soon as some dom edge between placed nodes (seeded ones or
+    earlier in the order) has no codomain edge between their images; a node
+    joined by an edge to an earlier-placed one only tries the sorted
+    neighbours of that one's image.  An edge slot iterates the sorted index
+    entry of its endpoint images.  Only partial maps that no homomorphism
+    extends are skipped, so the output is the same list, in the same order,
+    as trying every node map.
     """
     node_map: dict = {}
     edge_map: dict = {}
@@ -268,15 +297,7 @@ def _search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
                 return
         edge_map[e] = img
 
-    between: dict = {}
-    for img in sorted(cod.edges):
-        between.setdefault((cod.src[img], cod.tgt[img]), []).append(img)
-    succ: dict = {}
-    pred: dict = {}
-    for s, t in sorted(between):
-        succ.setdefault(s, []).append(t)
-        pred.setdefault(t, []).append(s)
-
+    between, succ, pred, cod_nodes = cod._search_index()
     free_nodes = [n for n in sorted(dom.nodes) if n not in node_map]
     free_edges = [e for e in sorted(dom.edges) if e not in edge_map]
     # checks[i]: endpoint pairs of the dom edges placed with free_nodes[i]
@@ -294,7 +315,6 @@ def _search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
     via = [next(((succ, s) if t == n else (pred, t)
                  for s, t in pairs if (s == n) != (t == n)), (None, None))
            for n, pairs in zip(free_nodes, checks)]
-    cod_nodes = sorted(cod.nodes)
 
     def place(i: int) -> Iterator[GraphMorphism]:
         if i == len(free_nodes):
@@ -318,33 +338,42 @@ def _search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
     try:
         yield from place(0)
     finally:
-        # place refers to itself; unbinding it frees the index at once
-        # rather than at the next run of the cyclic garbage collector
+        # place refers to itself; unbinding it frees this search's partial
+        # maps and tables as soon as the search ends or is dropped, rather
+        # than at the next run of the cyclic garbage collector
         del place
 
 
 def enumerate_morphisms(a: Graph, g: Graph) -> list:
     """All graph homomorphisms a -> g in canonical order."""
-    return list(_search(a, g, {}, {}))
+    return list(search(a, g, {}, {}))
 
 
 def enumerate_morphisms_extending(dom: Graph, cod: Graph,
                                   node_seed: Mapping[str, str],
                                   edge_seed: Mapping[str, str]) -> list:
     """All homomorphisms dom -> cod extending the given partial assignment."""
-    return list(_search(dom, cod, node_seed, edge_seed))
+    return list(search(dom, cod, node_seed, edge_seed))
 
 
-def enumerate_extensions(a: GraphMorphism, t: GraphMorphism) -> list:
-    """All r: M -> G with a;r = t, for a: K -> M and t: K -> G."""
+def iter_extensions(a: GraphMorphism,
+                    t: GraphMorphism) -> Iterator[GraphMorphism]:
+    """The r: M -> G with a;r = t, for a: K -> M and t: K -> G, drawn one at
+    a time in canonical order.  The domains are compared at once, before
+    the first draw."""
     if a.dom != t.dom:
         raise MismatchError("extension enumeration needs a common domain")
     node_seed: dict = {}
     edge_seed: dict = {}
     for k, img in a.node_map.items():
         if node_seed.setdefault(img, t.node_map[k]) != t.node_map[k]:
-            return []
+            return iter(())
     for k, img in a.edge_map.items():
         if edge_seed.setdefault(img, t.edge_map[k]) != t.edge_map[k]:
-            return []
-    return list(_search(a.cod, t.cod, node_seed, edge_seed))
+            return iter(())
+    return search(a.cod, t.cod, node_seed, edge_seed)
+
+
+def enumerate_extensions(a: GraphMorphism, t: GraphMorphism) -> list:
+    """All r: M -> G with a;r = t, for a: K -> M and t: K -> G."""
+    return list(iter_extensions(a, t))

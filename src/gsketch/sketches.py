@@ -237,13 +237,18 @@ class MultiSketch:
 
 @dataclass(frozen=True)
 class MultiSketchMorphism:
+    """A context morphism with an identifier map along which every
+    statement translates onto the statement of its image identifier.
+
+    ``id_map`` is a read-only view of a private copy.
+    """
     dom: MultiSketch
     cod: MultiSketch
     morphism: GraphMorphism
     id_map: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "id_map", dict(self.id_map))
+        object.__setattr__(self, "id_map", MappingProxyType(dict(self.id_map)))
         for i in self.dom.ids:
             if i not in self.id_map:
                 raise MismatchError("identifier %r is unmapped" % i)
@@ -253,6 +258,18 @@ class MultiSketchMorphism:
             if translate_statement(self.morphism, self.dom.stm[i]) != self.cod.stm[j]:
                 raise MismatchError(
                     "identifier map is incompatible with statements at %r" % i)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.morphism,
+                     frozenset(self.id_map.items())))
+
+
+def _multi_leg(dom: MultiSketch, cod: MultiSketch, morphism: GraphMorphism,
+               id_map: dict) -> MultiSketchMorphism:
+    """The multi-sketch morphism with these fields, unchecked: for legs that
+    are valid by construction and own ``id_map``."""
+    return unchecked(MultiSketchMorphism, dom=dom, cod=cod, morphism=morphism,
+                     id_map=MappingProxyType(id_map))
 
 
 def multi_pushout(m: MultiSketchMorphism, r: MultiSketchMorphism):
@@ -271,10 +288,8 @@ def multi_pushout(m: MultiSketchMorphism, r: MultiSketchMorphism):
         stm[ids_r[i]] = translate_statement(po.right, r.cod.stm[i])
     d = MultiSketch(po.object, stm)
     # each identifier's statement is translated along its own leg
-    return (d, unchecked(MultiSketchMorphism, dom=m.cod, cod=d,
-                         morphism=po.left, id_map=ids_l),
-            unchecked(MultiSketchMorphism, dom=r.cod, cod=d,
-                      morphism=po.right, id_map=ids_r))
+    return (d, _multi_leg(m.cod, d, po.left, ids_l),
+            _multi_leg(r.cod, d, po.right, ids_r))
 
 
 def multi_pullback(m: MultiSketchMorphism, r: MultiSketchMorphism):
@@ -296,9 +311,7 @@ def multi_pullback(m: MultiSketchMorphism, r: MultiSketchMorphism):
         p: paired_statement(m.dom.stm[i], r.dom.stm[j], pb.object)
         for p, (i, j) in pairs.items()})
     # each paired statement projects to the two it was built from
-    return (d, unchecked(MultiSketchMorphism, dom=d, cod=m.dom,
-                         morphism=pb.left,
-                         id_map={p: i for p, (i, _) in pairs.items()}),
-            unchecked(MultiSketchMorphism, dom=d, cod=r.dom,
-                      morphism=pb.right,
-                      id_map={p: j for p, (_, j) in pairs.items()}))
+    return (d, _multi_leg(d, m.dom, pb.left,
+                          {p: i for p, (i, _) in pairs.items()}),
+            _multi_leg(d, r.dom, pb.right,
+                       {p: j for p, (_, j) in pairs.items()}))

@@ -268,7 +268,7 @@ class TestDeduce:
                      "--script", str(script)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: line 2: line 2, column 18: statement 'monic': 'zz' is "
+            "error: line 2, column 18: statement 'monic': 'zz' is "
             "neither a node nor an edge of the domain\n")
 
     def test_inst_accepts_quoted_names(self, corpus, tmp_path, capsys):
@@ -295,7 +295,8 @@ class TestDeduce:
         code = main(["deduce", *corpus, "--sketch", "Gprime",
                      "--script", str(script)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: line 2: ")
+        assert re.match(r"error: line 2(, column \d+)?: ",
+                        capsys.readouterr().err)
 
     def test_malformed_line_exits_two_under_optimize(self, corpus, tmp_path):
         script = tmp_path / "script.txt"

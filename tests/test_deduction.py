@@ -1,12 +1,19 @@
+import pathlib
+import sys
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gsketch import conditions, deduction, sketches
 from gsketch.category import initial_morphism
 from gsketch.conditions import (And, Constraint, Exists, Forall, Not, Top,
-                                check_constraint, implication, satisfies, stmt,
+                                check_constraint, implication,
+                                iter_violations, satisfies, stmt,
                                 statements_conj, uc, unguarded_exists,
-                                unguarded_forall, well_formed)
-from gsketch.ct import COMP, MONIC, comp_stmt, monic_stmt
+                                unguarded_forall, violating_extensions,
+                                well_formed)
+from gsketch.ct import COMP, FINAL, MONIC, comp_stmt, monic_stmt
 from gsketch.deduction import (CertificationError, ConstrainedSketch,
                                MismatchError, Rule, RuleShapeError, apply_rule,
                                conj_elim, conj_intro, cstr_translate,
@@ -15,10 +22,14 @@ from gsketch.deduction import (CertificationError, ConstrainedSketch,
                                skolemize, statement_to_constraint,
                                universal_elim)
 from gsketch.dsl import parse_files
-from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
-                            morphism_of)
+from gsketch.graphs import (compose, enumerate_extensions, enumerate_morphisms,
+                            graph_of, identity, morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
                               is_sketch_morphism, translate_statement)
+
+from test_graphs import small_graphs
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def rule3(fx):
@@ -180,6 +191,112 @@ class TestMatchesDifferential:
         r = rule3(fx)
         assert len(find_matches(r, fx.sketch_g)) == 2
         assert checked == [uc(r)]
+
+
+def eager_repair(rules, g, max_steps):
+    """Reference repair loop: list every match of each rule in turn and
+    fire the first match of the first rule that has one.  Returns the final
+    sketch, the (rule, match, result) of each step and the exhausted flag."""
+    steps, current = [], g
+    while True:
+        fired = next(((rule, ms[0]) for rule in rules
+                      if (ms := find_matches(rule, current))), None)
+        if fired is None or len(steps) == max_steps:
+            return current, steps, fired is not None
+        rule, match = fired
+        current, _, _ = apply_rule(rule, match, current)
+        steps.append((rule, match, current))
+
+
+def repair_outcome(rules, g, max_steps):
+    final, steps, exhausted = repair_to_fixpoint(rules, g, max_steps)
+    return final, [(s.rule, s.match, s.result) for s in steps], exhausted
+
+
+@st.composite
+def statements_over(draw, g, max_size=3):
+    """Up to ``max_size`` comp, monic and final statements bound in g."""
+    candidates = [Statement(p, b) for p in (COMP, MONIC, FINAL)
+                  for b in enumerate_morphisms(p.arity, g)]
+    if not candidates:
+        return []
+    return draw(st.lists(st.sampled_from(candidates), max_size=max_size))
+
+
+@st.composite
+def random_rules(draw):
+    """A rule along a random morphism between small graphs, with random
+    premise and added statements."""
+    lhs = draw(small_graphs(max_nodes=2, max_edges=2))
+    rhs = draw(small_graphs(max_nodes=3, max_edges=3))
+    morphisms = enumerate_morphisms(lhs, rhs)
+    assume(morphisms)
+    a = draw(st.sampled_from(morphisms))
+    return Rule.build(Sketch(lhs, draw(statements_over(lhs))), a,
+                      draw(statements_over(rhs)))
+
+
+@st.composite
+def random_sketches(draw):
+    g = draw(small_graphs(max_nodes=3, max_edges=4))
+    return Sketch(g, draw(statements_over(g, max_size=4)))
+
+
+def repair_chain_inputs(seed):
+    """The rules, sketches and step bounds of every repair-chain benchmark
+    operation at ``seed``, as the benchmark builds them."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    state = workloads.RepairChain().setup(workloads.gsketch_modules(), seed)
+    return state.rules, [(g, 4 * spec.n) for ops in state.rounds
+                         for spec, g in ops]
+
+
+class TestFirstMatch:
+    @settings(max_examples=80, deadline=None)
+    @given(rule=random_rules(), g=random_sketches())
+    def test_violations_drawn_lazily_are_the_list(self, rule, g):
+        t, c = initial_morphism(g.context), rule.universal_constraint
+        want = [r for r in enumerate_extensions(c.shift, t)
+                if not satisfies(r, g, c.body).holds]
+        assert list(iter_violations(t, g, c)) == violating_extensions(t, g, c)
+        assert violating_extensions(t, g, c) == want
+        matches = find_matches(rule, g)
+        assert matches == want
+        first = next(iter_violations(t, g, c), None)
+        assert (first is None) == (matches == [])
+        assert first is None or first == matches[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rules=st.lists(random_rules(), min_size=1, max_size=2),
+           g=random_sketches())
+    def test_repair_fires_what_the_eager_loop_fires(self, rules, g):
+        assert repair_outcome(rules, g, 3) == eager_repair(rules, g, 3)
+
+    def test_repair_on_the_corpus(self, fx, doc):
+        rule_lists = [list(doc.rules.values()), [rule3(fx), rule6(fx)],
+                      [rule_from_condition(fx.conditions["phi2"])]]
+        hosts = list(doc.sketches.values()) + [fx.sketch_g,
+                                                fx.sketch_g_prime]
+        for rules in rule_lists:
+            for g in hosts:
+                assert repair_outcome(rules, g, 5) == eager_repair(rules, g, 5)
+
+    def test_repair_on_every_benchmark_chain(self):
+        rules, inputs = repair_chain_inputs(1)
+        assert len(inputs) == 100
+        for g, max_steps in inputs:
+            assert repair_outcome(rules, g, max_steps) == \
+                eager_repair(rules, g, max_steps)
+
+    def test_checks_come_before_the_first_draw(self, fx):
+        t = initial_morphism(fx.graph_g)
+        with pytest.raises(TypeError):
+            iter_violations(t, fx.sketch_g, fx.conditions["phi1"])
+        with pytest.raises(MismatchError):
+            iter_violations(initial_morphism(graph_of("x")), fx.sketch_g,
+                            fx.conditions["phi3"])
 
 
 class TestRuleCaching:

@@ -9,7 +9,8 @@ from gsketch.graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
                             NotInvertibleError, compose, enumerate_extensions,
                             enumerate_morphisms, enumerate_morphisms_extending,
                             graph_of, identity, invert, is_isomorphism,
-                            is_monomorphism, morphism_of, validate_graph)
+                            is_monomorphism, iter_extensions, morphism_of,
+                            search, validate_graph)
 
 from conftest import brute_force_morphisms
 
@@ -180,14 +181,22 @@ class TestEnumeration:
         assert got == want
 
     def test_search_leaves_no_reference_cycle(self):
-        # the per-call codomain index is freed as soon as a search ends
+        # a search's own tables are freed as soon as it ends or is dropped
+        # after its first result; the codomain index stays on the graph
         gc.collect()
         gc.disable()
         try:
             assert len(enumerate_morphisms(COMP_ARITY, G)) == 3
+            assert next(search(COMP_ARITY, G, {}, {})) is not None
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_search_draws_the_list_in_order(self):
+        drawn = search(COMP_ARITY, G, {}, {})
+        want = enumerate_morphisms(COMP_ARITY, G)
+        assert next(drawn) == want[0]
+        assert [next(drawn)] + list(drawn) == want[1:]
 
     def test_deterministic(self):
         assert enumerate_morphisms(K1, G) == enumerate_morphisms(K1, G)
@@ -261,7 +270,50 @@ class TestEnumeration:
         assert all(m.node_map.keys() == {"v1", "v2"} for m in got)
 
 
+class TestSearchIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(a=small_graphs(max_nodes=3, max_edges=3),
+           b=small_graphs(max_nodes=3, max_edges=3),
+           g=small_graphs(max_nodes=3, max_edges=4))
+    def test_reused_index_gives_the_fresh_list(self, a, b, g):
+        # g keeps its index from the first search; an equal graph built
+        # anew has none yet
+        fresh = Graph(g.nodes, g.edges, g.src, g.tgt)
+        for dom in (a, b, a):
+            want = brute_force_morphisms(dom, g)
+            assert enumerate_morphisms(dom, g) == want
+            assert enumerate_morphisms(dom, g) == want
+        assert enumerate_morphisms(a, fresh) == brute_force_morphisms(a, g)
+
+    def test_index_leaves_equality_hash_and_repr_alone(self):
+        used = graph_of("", "a:1->2 b:2->3 c:1->3")
+        fresh = graph_of("", "a:1->2 b:2->3 c:1->3")
+        before = (hash(used), repr(used))
+        assert enumerate_morphisms(MONIC_ARITY, used)
+        assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
+        assert used == fresh and fresh == used
+        assert used != graph_of("", "a:1->2 b:2->3 c:2->3")
+
+    def test_no_attribute_can_be_assigned(self):
+        g = graph_of("", "a:1->2")
+        enumerate_morphisms(MONIC_ARITY, g)
+        for name in ("nodes", "edges", "src", "tgt", "_index", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+        assert enumerate_morphisms(MONIC_ARITY, g) == \
+            brute_force_morphisms(MONIC_ARITY, g)
+
+
 class TestExtensions:
+    def test_iter_extensions_draws_the_list(self):
+        incl = morphism_of(K1, COMP_ARITY, edges={"e1": "e1", "e2": "e2"})
+        for t in enumerate_morphisms(K1, G):
+            assert list(iter_extensions(incl, t)) == enumerate_extensions(incl, t)
+
+    def test_iter_extensions_checks_domains_before_drawing(self):
+        with pytest.raises(MismatchError):
+            iter_extensions(identity(K1), identity(G))
+
     def test_identity_shift_gives_anchor(self):
         t = morphism_of(K1, G, edges={"e1": "a", "e2": "b"})
         assert enumerate_extensions(identity(K1), t) == [t]

@@ -186,6 +186,39 @@ class TestMultiSketches:
             ms.stm["i1"] = monic_stmt(fx.graph_g, "a")
         assert ms == self._monic_pair(fx)
 
+    def test_identifier_map_read_only(self, fx):
+        g = fx.graph_g
+        single = MultiSketch(g, {"j": monic_stmt(g, "b")})
+        given = {"j": "i1"}
+        to1 = MultiSketchMorphism(single, self._monic_pair(fx), identity(g),
+                                  given)
+        given["j"] = "i2"
+        with pytest.raises(TypeError):
+            to1.id_map["j"] = "i2"
+        assert to1.id_map == {"j": "i1"}
+        # the legs of the constructions are read-only too
+        d, left, right = multi_pushout(to1, to1)
+        dm, _ = multi_pullback(left, right)[1:]
+        for leg in (left, right, dm):
+            with pytest.raises(TypeError):
+                leg.id_map[next(iter(leg.id_map))] = "x"
+
+    def test_morphisms_hash_by_value(self, fx):
+        g = fx.graph_g
+        single = MultiSketch(g, {"j": monic_stmt(g, "b")})
+
+        def to(i):
+            return MultiSketchMorphism(single, self._monic_pair(fx),
+                                       identity(g), {"j": i})
+
+        assert to("i1") == to("i1") and hash(to("i1")) == hash(to("i1"))
+        assert to("i1") != to("i2")
+        assert len({to("i1"), to("i1"), to("i2")}) == 2
+        d, left, right = multi_pushout(to("i1"), to("i2"))
+        again = MultiSketchMorphism(left.dom, left.cod, left.morphism,
+                                    dict(left.id_map))
+        assert again == left and hash(again) == hash(left)
+
     def test_distinct_ids_with_equal_statements_stay_distinct(self, fx):
         ms = self._monic_pair(fx)
         ident = MultiSketchMorphism(ms, ms, identity(fx.graph_g),
