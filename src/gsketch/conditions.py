@@ -25,7 +25,7 @@ from .category import initial_morphism
 from .graphs import (Graph, GraphMorphism, MismatchError, enumerate_extensions,
                      identity, iter_extensions)
 from .sketches import (Sketch, SketchMorphism, Statement, statement_key,
-                       translate_statement)
+                       translate_key, translate_statement)
 
 
 class EvaluationBudgetExceeded(RuntimeError):
@@ -156,29 +156,29 @@ def well_formed(c: Condition) -> list:
     subcondition of the second subcondition of the root.
     """
     violations = []
-
-    def walk(node, path):
-        if isinstance(node, Stmt):
-            if node.statement.context != node.context:
-                violations.append("%s: statement bound outside its context"
-                                  % path)
-            return
-        subs = node.subconditions()
-        expected = [(node.context, "parent")] * len(subs)
-        if isinstance(node, Quantifier):
-            if node.shift.dom != node.context:
-                violations.append("%s: shift domain differs from context" % path)
-            expected[1] = (node.shift.cod, "shift codomain")
-        for i, sub in enumerate(subs):
-            sub_path = "%s[%d]" % (path, i)
-            context, name = expected[i]
-            if sub.context != context:
-                violations.append("%s: context differs from %s"
-                                  % (sub_path, name))
-            walk(sub, sub_path)
-
-    walk(c, "root")
+    _walk(c, "root", violations)
     return violations
+
+
+def _walk(node, path, violations):
+    """Append the violations of ``node``, found at ``path``, and of its
+    subconditions to ``violations``."""
+    if isinstance(node, Stmt):
+        if node.statement.context != node.context:
+            violations.append("%s: statement bound outside its context" % path)
+        return
+    subs = node.subconditions()
+    expected = [(node.context, "parent")] * len(subs)
+    if isinstance(node, Quantifier):
+        if node.shift.dom != node.context:
+            violations.append("%s: shift domain differs from context" % path)
+        expected[1] = (node.shift.cod, "shift codomain")
+    for i, sub in enumerate(subs):
+        sub_path = "%s[%d]" % (path, i)
+        context, name = expected[i]
+        if sub.context != context:
+            violations.append("%s: context differs from %s" % (sub_path, name))
+        _walk(sub, sub_path, violations)
 
 
 @dataclass(frozen=True)
@@ -227,6 +227,10 @@ def satisfies(t: GraphMorphism, g: Sketch, c: Condition, *,
 def _validate(t, g, c):
     if t.dom != c.context or t.cod != g.context:
         raise MismatchError("anchor endpoints differ from condition/sketch contexts")
+    _check_well_formed(c)
+
+
+def _check_well_formed(c):
     problems = well_formed(c)
     if problems:
         raise IllFormedConditionError("; ".join(problems))
@@ -235,7 +239,8 @@ def _validate(t, g, c):
 def _eval(t, g, c, budget) -> Verdict:
     budget.spend()
     if isinstance(c, Stmt):
-        return Verdict(translate_statement(t, c.statement) in g.statements)
+        s = c.statement
+        return Verdict(g.holds(s.predicate, translate_key(t, s.key)))
     if isinstance(c, Top):
         return Verdict(True)
     if isinstance(c, Bottom):
@@ -279,10 +284,13 @@ def iter_violations(t: GraphMorphism, g: Sketch,
     if not isinstance(c, Forall):
         raise TypeError("expected a universally quantified condition")
     _validate(t, g, c)
-    return _violations(t, g, c, _Budget(DEFAULT_BUDGET))
+    return _violations(t, g, c)
 
 
-def _violations(t, g, c, budget):
+def _violations(t, g, c):
+    """:func:`iter_violations` without its checks, for a condition and an
+    anchor already known to fit."""
+    budget = _Budget(DEFAULT_BUDGET)
     if not _eval(t, g, c.guard, budget).holds:
         return
     for r in iter_extensions(c.shift, t):

@@ -11,8 +11,9 @@ from typing import Iterable
 
 from .category import initial_morphism
 from .conditions import (And, Condition, Constraint, Exists, Forall, Stmt,
-                         Top, check_constraint, conj, iter_violations,
-                         satisfies, statements_conj, uc, unguarded_exists)
+                         Top, _check_well_formed, _violations,
+                         check_constraint, conj, iter_violations, satisfies,
+                         statements_conj, uc, unguarded_exists)
 from .graphs import GraphMorphism, MismatchError, compose, identity
 from .sketches import (Sketch, SketchMorphism, Statement, sketch_pushout,
                        translate_statement, unchecked)
@@ -102,18 +103,13 @@ def rule_from_condition(cond: Condition) -> Rule:
     return Rule.build(lhs, body.shift, conclusion)
 
 
-def _iter_matches(rule: Rule, g: Sketch):
-    """The matches of the rule, drawn one at a time in canonical order."""
-    return iter_violations(initial_morphism(g.context), g,
-                           rule.universal_constraint)
-
-
 def find_matches(rule: Rule, g: Sketch) -> list:
     """All matches of the rule in canonical order: the violations of its
     universal constraint ``uc(rule)``, i.e. the t: L -> G at which the premise
     statements hold and no completion along the rule morphism exists (the
     negative application condition)."""
-    return list(_iter_matches(rule, g))
+    return list(iter_violations(initial_morphism(g.context), g,
+                                rule.universal_constraint))
 
 
 def apply_rule(rule: Rule, match: GraphMorphism, g: Sketch):
@@ -126,6 +122,11 @@ def apply_rule(rule: Rule, match: GraphMorphism, g: Sketch):
     if (match.dom != rule.lhs.context or match.cod != g.context
             or satisfies(match, g, rule.universal_constraint.body).holds):
         raise MismatchError("morphism is not a valid match for this rule")
+    return _apply(rule, match, g)
+
+
+def _apply(rule: Rule, match: GraphMorphism, g: Sketch):
+    """:func:`apply_rule` at a morphism known to be a match."""
     # the body of uc(rule) fails only where its guard, the premise, holds,
     # so the match preserves the lhs statements
     h, t_star, a_star = sketch_pushout(
@@ -146,7 +147,9 @@ def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
     """Repeatedly apply the first matching rule (rule order, then canonical
     match order), one application per iteration.  Only that first match is
     searched for: a rule's matches are drawn until one is found, and later
-    rules are not tried once one has matched.
+    rules are not tried once one has matched.  Each rule's universal
+    constraint is checked once, before the first draw, and a drawn match is
+    applied without being evaluated again.
 
     Returns ``(final sketch, steps, exhausted)``: ``steps`` is the list of
     :class:`RepairStep` in firing order, and ``exhausted`` is True when the
@@ -154,16 +157,20 @@ def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
+    constrained = [(rule, rule.universal_constraint) for rule in rules]
+    for _, c in constrained:
+        _check_well_formed(c)
     steps = []
     current = g
     while True:
-        fired = next(((rule, match) for rule in rules
-                      if (match := next(_iter_matches(rule, current), None))
+        t = initial_morphism(current.context)
+        fired = next(((rule, match) for rule, c in constrained
+                      if (match := next(_violations(t, current, c), None))
                       is not None), None)
         if fired is None or len(steps) == max_steps:
             return current, steps, fired is not None
         rule, match = fired
-        h, a_star, t_star = apply_rule(rule, match, current)
+        h, a_star, t_star = _apply(rule, match, current)
         steps.append(RepairStep(rule, match, h, a_star, t_star))
         current = h
 

@@ -690,7 +690,7 @@ class _Printer:
         return "footprint %s {\n%s\n}" % (_q(name), "\n".join(lines))
 
     def format_sketch(self, name: str, sk: Sketch) -> str:
-        preds = {s.predicate for s in sk.statements}
+        preds = set(sk.index)
         fp_name = _named(self.doc.footprints,
                          lambda fp: preds <= fp.predicates)
         if fp_name is None:

@@ -1,14 +1,20 @@
 """Footprints, statements, sketches and sketch morphisms.
 
 A statement is an atomic constraint: a predicate symbol together with a
-binding morphism from its arity graph into a context.  A sketch is a context
-plus a set of statements; sketch morphisms preserve statements.  Sketch-level
-pushouts and pullbacks are derived from the graph-level ones, including the
-multi-sketch variants where statements carry identifiers.
+binding morphism from its arity graph into a context.  Over a fixed context
+the binding is given by its images, so a statement's key is the tuple of
+node images and the tuple of edge images, in the sorted order of the arity's
+nodes and edges; Stm(phi) maps a key by looking each image up in phi.  A
+sketch is a context plus a set of statements, kept as an index from each
+predicate to the keys of its statements; sketch morphisms preserve
+statements.  Sketch-level pushouts and pullbacks are derived from the
+graph-level ones and read and write that index, including the multi-sketch
+variants where statements carry identifiers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -27,6 +33,22 @@ class PredicateSymbol:
         if problems:
             raise ValueError("invalid arity for %r: %s"
                              % (self.name, "; ".join(problems)))
+
+    # The hash and ``order`` are built on first use and kept on the
+    # instance; equality and hashing still see only the fields.
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.name, self.arity))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    @cached_property
+    def order(self):
+        """The arity's nodes and its edges, each sorted: the positions of a
+        statement key."""
+        return tuple(sorted(self.arity.nodes)), tuple(sorted(self.arity.edges))
 
 
 class Footprint:
@@ -75,6 +97,15 @@ class Statement:
     def context(self) -> Graph:
         return self.binding.cod
 
+    @cached_property
+    def key(self):
+        """The binding's images of the arity's nodes and of its edges, in
+        the predicate's ``order``: the statement's entry in the index of a
+        sketch over its context.  Kept on the instance once built."""
+        nodes, edges = self.predicate.order
+        return (tuple(map(self.binding.node_map.__getitem__, nodes)),
+                tuple(map(self.binding.edge_map.__getitem__, edges)))
+
 
 def statement_key(s: Statement):
     """Canonical ordering key: predicate name, then binding maps."""
@@ -83,34 +114,98 @@ def statement_key(s: Statement):
             tuple(sorted(s.binding.edge_map.items())))
 
 
+def translate_key(phi: GraphMorphism, key):
+    """Stm(phi) on keys: the key of the statement with this key translated
+    along phi."""
+    nodes, edges = key
+    return (tuple(map(phi.node_map.__getitem__, nodes)),
+            tuple(map(phi.edge_map.__getitem__, edges)))
+
+
+def _statement_at(p: PredicateSymbol, context: Graph, key) -> Statement:
+    """The statement of ``p`` over ``context`` with this key, unchecked: the
+    key's images must form a binding of the arity into ``context``."""
+    nodes, edges = p.order
+    return unchecked(Statement, predicate=p, binding=GraphMorphism._trusted(
+        p.arity, context, dict(zip(nodes, key[0])), dict(zip(edges, key[1]))))
+
+
 class Sketch:
-    __slots__ = ("context", "statements")
+    """A context and a set of statements bound in it.
+
+    The statements are kept in ``index``, a read-only map from each
+    predicate to the frozenset of the keys of its statements, built once.
+    ``statements`` is the frozenset of the statements themselves: the set
+    the sketch was built from, or else built from the index on first read
+    and kept.  ``==`` and the hash read the context and the index only.
+    """
+
+    __slots__ = ("context", "index", "_statements", "_hash")
 
     def __init__(self, context: Graph, statements: Iterable[Statement] = ()):
         statements = frozenset(statements)
+        index = {}
         for s in statements:
             if s.context != context:
                 raise MismatchError(
                     "statement %r is not bound in the sketch context"
                     % s.predicate.name)
+            index.setdefault(s.predicate, set()).add(s.key)
+        self._own(context, index)
+        object.__setattr__(self, "_statements", statements)
+
+    @classmethod
+    def _from_index(cls, context: Graph, index: dict) -> "Sketch":
+        """The sketch with these statement keys, unchecked: the caller
+        guarantees that each key is a binding of its predicate's arity into
+        ``context`` and that no key set is empty."""
+        sketch = object.__new__(cls)
+        sketch._own(context, index)
+        return sketch
+
+    def _own(self, context, index):
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "statements", statements)
+        object.__setattr__(self, "index", MappingProxyType(
+            {p: frozenset(keys) for p, keys in index.items()}))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sketch is immutable")
 
+    @property
+    def statements(self) -> frozenset:
+        try:
+            return self._statements
+        except AttributeError:
+            statements = frozenset(
+                _statement_at(p, self.context, key)
+                for p, keys in self.index.items() for key in keys)
+            object.__setattr__(self, "_statements", statements)
+            return statements
+
+    def holds(self, p: PredicateSymbol, key) -> bool:
+        """True iff the statement of ``p`` with this key is in the sketch."""
+        keys = self.index.get(p)
+        return keys is not None and key in keys
+
     def __eq__(self, other):
-        return (isinstance(other, Sketch) and self.context == other.context
-                and self.statements == other.statements)
+        return self is other or (
+            isinstance(other, Sketch) and self.context == other.context
+            and self.index == other.index)
 
     def __hash__(self):
-        return hash((self.context, self.statements))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.context, frozenset(self.index.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def sorted_statements(self) -> list:
         return sorted(self.statements, key=statement_key)
 
     def __repr__(self):
-        return "Sketch(%r, %d statements)" % (self.context, len(self.statements))
+        return "Sketch(%r, %d statements)" % (
+            self.context, sum(map(len, self.index.values())))
 
 
 def translate_statement(phi: GraphMorphism, s: Statement) -> Statement:
@@ -124,7 +219,8 @@ def is_sketch_morphism(phi: GraphMorphism, k: Sketch, g: Sketch) -> bool:
     """True iff phi maps every statement of k onto a statement of g."""
     if phi.dom != k.context or phi.cod != g.context:
         raise MismatchError("morphism endpoints differ from the sketch contexts")
-    return all(translate_statement(phi, s) in g.statements for s in k.statements)
+    return all(g.holds(p, translate_key(phi, key))
+               for p, keys in k.index.items() for key in keys)
 
 
 def unchecked(cls, **fields):
@@ -156,26 +252,29 @@ def sketch_pushout(m: SketchMorphism, r: SketchMorphism):
     if m.dom != r.dom:
         raise MismatchError("sketch pushout needs a span with a common domain")
     po = pushout(m.morphism, r.morphism)
-    statements = {translate_statement(po.right, s) for s in r.cod.statements}
-    statements |= {translate_statement(po.left, s) for s in m.cod.statements}
-    d = Sketch(po.object, statements)
+    index = {}
+    for leg, sketch in ((po.right, r.cod), (po.left, m.cod)):
+        for p, keys in sketch.index.items():
+            index.setdefault(p, set()).update(
+                translate_key(leg, key) for key in keys)
+    d = Sketch._from_index(po.object, index)
     # D holds the image of every statement of A and B
     return (d, unchecked(SketchMorphism, dom=m.cod, cod=d, morphism=po.left),
             unchecked(SketchMorphism, dom=r.cod, cod=d, morphism=po.right))
 
 
+def _paired_key(kb, ka):
+    """The key over a pullback object D that projects to ``kb`` in B and to
+    ``ka`` in A: each position holds the pair ``b|a`` of its two images."""
+    return (tuple(map(pair_name, kb[0], ka[0])),
+            tuple(map(pair_name, kb[1], ka[1])))
+
+
 def paired_statement(sb: Statement, sa: Statement, d: Graph) -> Statement:
     """The statement over a pullback object D that projects to ``sb`` in B
-    and to ``sa`` in A: each arity element goes to the pair ``b|a`` of its
-    two images.  Both statements share a predicate, and their images in the
-    cospan's codomain agree."""
-    arity = sb.predicate.arity
-    return Statement(sb.predicate, GraphMorphism._trusted(
-        arity, d,
-        {n: pair_name(sb.binding.node_map[n], sa.binding.node_map[n])
-         for n in arity.nodes},
-        {e: pair_name(sb.binding.edge_map[e], sa.binding.edge_map[e])
-         for e in arity.edges}))
+    and to ``sa`` in A.  Both statements share a predicate, and their images
+    in the cospan's codomain agree."""
+    return _statement_at(sb.predicate, d, _paired_key(sb.key, sa.key))
 
 
 def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
@@ -192,11 +291,15 @@ def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
     pb = pullback(m.morphism, r.morphism)
     # pb.left: D -> B, pb.right: D -> A
     over_c = {}
-    for sa in r.dom.statements:
-        over_c.setdefault(translate_statement(r.morphism, sa), []).append(sa)
-    d = Sketch(pb.object, [
-        paired_statement(sb, sa, pb.object) for sb in m.dom.statements
-        for sa in over_c.get(translate_statement(m.morphism, sb), ())])
+    for p, keys in r.dom.index.items():
+        for ka in keys:
+            over_c.setdefault((p, translate_key(r.morphism, ka)), []).append(ka)
+    index = {}
+    for p, keys in m.dom.index.items():
+        for kb in keys:
+            for ka in over_c.get((p, translate_key(m.morphism, kb)), ()):
+                index.setdefault(p, set()).add(_paired_key(kb, ka))
+    d = Sketch._from_index(pb.object, index)
     # each statement of D projects to the pair it was built from
     return (d, unchecked(SketchMorphism, dom=d, cod=r.dom, morphism=pb.right),
             unchecked(SketchMorphism, dom=d, cod=m.dom, morphism=pb.left))

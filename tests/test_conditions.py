@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from gsketch.category import initial_morphism
@@ -10,6 +12,7 @@ from gsketch.conditions import (And, Bottom, Constraint, EvaluationBudgetExceede
                                 well_formed)
 from gsketch.ct import (COMP, MONIC, colimit_condition, comp_stmt,
                         limit_condition, monic_stmt)
+from gsketch.deduction import find_matches, rule_from_condition
 from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
                             morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
@@ -39,6 +42,20 @@ class TestWellFormed:
         with pytest.raises(IllFormedConditionError):
             satisfies(morphism_of(graph_of("x"), fx.graph_g,
                                   nodes={"x": "1"}), fx.sketch_g, bad)
+
+    def test_leaves_no_reference_cycle(self, fx):
+        # the walk's state is passed down the recursion, so a check, and
+        # the rule matching that runs one, leave nothing for the collector
+        r = rule_from_condition(fx.conditions["phi3"])
+        bad = Stmt(graph_of("x"), fx.statements["psi4"])
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(well_formed(bad)) == 1
+            assert len(find_matches(r, fx.sketch_g)) == 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_violating_extensions_rejects_ill_formed(self, fx):
         x = graph_of("x")

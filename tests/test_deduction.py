@@ -290,6 +290,36 @@ class TestFirstMatch:
             assert repair_outcome(rules, g, max_steps) == \
                 eager_repair(rules, g, max_steps)
 
+    def test_repair_translates_nothing_and_checks_each_rule_once(
+            self, fx, monkeypatch):
+        # statement leaves and pushouts work on statement keys, and a drawn
+        # match is applied without being evaluated again
+        rules = [rule3(fx), rule6(fx)]
+        for r in rules:
+            r.universal_constraint
+        start = duplicate_composite_chain(8)
+        want = eager_repair(rules, start, 40)
+        translated, checked = [], []
+
+        def counting_translate(phi, s):
+            translated.append(s)
+            return translate_statement(phi, s)
+
+        def counting_check(c):
+            checked.append(c)
+            return well_formed(c)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gsketch") and getattr(
+                    module, "translate_statement", None) is translate_statement:
+                monkeypatch.setattr(module, "translate_statement",
+                                    counting_translate)
+        monkeypatch.setattr(conditions, "well_formed", counting_check)
+        got = repair_outcome(rules, start, 40)
+        assert got == want and len(got[1]) > 8 and not got[2]
+        assert translated == []
+        assert checked == [r.universal_constraint for r in rules]
+
     def test_checks_come_before_the_first_draw(self, fx):
         t = initial_morphism(fx.graph_g)
         with pytest.raises(TypeError):

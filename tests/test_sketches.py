@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gsketch.category import pullback
+from gsketch.category import pullback, pushout
+from gsketch.conditions import satisfies, stmt
 from gsketch.ct import COMP, FINAL, MONIC, comp_stmt, monic_stmt
 from gsketch.graphs import (Graph, GraphMorphism, MismatchError, compose,
                             enumerate_morphisms, graph_of, identity,
@@ -11,7 +12,7 @@ from gsketch.sketches import (Footprint, MultiSketch, MultiSketchMorphism,
                               PredicateSymbol, Sketch, SketchMorphism,
                               Statement, is_sketch_morphism, multi_pullback,
                               multi_pushout, sketch_pullback, sketch_pushout,
-                              translate_statement)
+                              translate_key, translate_statement)
 from gsketch.oracles import sketches_isomorphic
 
 from test_graphs import small_graphs
@@ -362,3 +363,123 @@ class TestSketchPullbackDifferential:
         assert d.statements == want.statements
         assert (m_star.dom, m_star.cod, m_star.morphism) == (d, r.dom, right)
         assert (r_star.dom, r_star.cod, r_star.morphism) == (d, m.dom, left)
+
+
+@st.composite
+def footprints(draw):
+    """One to three predicates with distinct names and random arities."""
+    arities = draw(st.lists(small_graphs(max_nodes=2, max_edges=2),
+                            min_size=1, max_size=3))
+    return Footprint(PredicateSymbol("p%d" % i, a)
+                     for i, a in enumerate(arities))
+
+
+def statements_of(fp, g):
+    return [Statement(p, b) for p in fp for b in enumerate_morphisms(p.arity, g)]
+
+
+@st.composite
+def statement_sets(draw, fp, g, max_size=4):
+    candidates = statements_of(fp, g)
+    if not candidates:
+        return set()
+    return draw(st.sets(st.sampled_from(candidates), max_size=max_size))
+
+
+@st.composite
+def targets(draw):
+    """A random graph with a loop added, so that every graph maps into it."""
+    g = draw(small_graphs(max_nodes=3, max_edges=3))
+    return Graph(g.nodes | {"z"}, g.edges | {"l"}, {**g.src, "l": "z"},
+                 {**g.tgt, "l": "z"})
+
+
+@st.composite
+def leaf_cases(draw):
+    """A sketch g, a statement s over K and a morphism t: K -> G; half of
+    the time g holds the image of s along t."""
+    fp = draw(footprints())
+    k, g = draw(small_graphs(max_nodes=3, max_edges=3)), draw(targets())
+    t = draw(st.sampled_from(enumerate_morphisms(k, g)))
+    candidates = statements_of(fp, k)
+    assume(candidates)
+    s = draw(st.sampled_from(candidates))
+    statements = draw(statement_sets(fp, g))
+    if draw(st.booleans()):
+        statements.add(translate_statement(t, s))
+    return Sketch(g, statements), s, t
+
+
+@st.composite
+def sketch_spans(draw):
+    """B <-m- C -r-> A: each leg a random morphism, each codomain holding
+    the images of the statements of C and random statements of its own."""
+    fp = draw(footprints())
+    c_graph = draw(small_graphs(max_nodes=2, max_edges=2))
+    c = Sketch(c_graph, draw(statement_sets(fp, c_graph, max_size=2)))
+    legs = []
+    for _ in range(2):
+        cod = draw(targets())
+        m = draw(st.sampled_from(enumerate_morphisms(c.context, cod)))
+        statements = draw(statement_sets(fp, cod))
+        statements |= {translate_statement(m, s) for s in c.statements}
+        legs.append(SketchMorphism(c, Sketch(cod, statements), m))
+    return legs
+
+
+@st.composite
+def fp_sketches(draw):
+    fp = draw(footprints())
+    g = draw(small_graphs(max_nodes=3, max_edges=4))
+    return Sketch(g, draw(statement_sets(fp, g, max_size=6)))
+
+
+class TestStatementIndexDifferential:
+    """The index of statement keys against the statements it stands for."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(leaf_cases())
+    def test_leaf_lookup_is_translated_membership(self, case):
+        g, s, t = case
+        want = translate_statement(t, s) in g.statements
+        assert g.holds(s.predicate, translate_key(t, s.key)) == want
+        assert satisfies(t, g, stmt(s)).holds == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(sketch_spans())
+    def test_pushout_statements_are_the_translated_union(self, span):
+        m, r = span
+        d, r_star, m_star = sketch_pushout(m, r)
+        po = pushout(m.morphism, r.morphism)
+        want = Sketch(po.object,
+                      {translate_statement(po.right, s) for s in r.cod.statements}
+                      | {translate_statement(po.left, s) for s in m.cod.statements})
+        assert d.statements == want.statements
+        assert d == want and want == d and hash(d) == hash(want)
+        assert (r_star.morphism, m_star.morphism) == (po.left, po.right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fp_sketches())
+    def test_sketch_from_its_index_is_the_sketch(self, g):
+        again = Sketch._from_index(g.context, dict(g.index))
+        assert again == g and g == again and hash(again) == hash(g)
+        assert again.statements == g.statements
+        assert again.statements is again.statements
+        assert all(type(keys) is frozenset and keys
+                   for keys in g.index.values())
+        for p in g.index:
+            with pytest.raises(TypeError):
+                g.index[p] = frozenset()
+        with pytest.raises(TypeError):
+            again.index[PredicateSymbol("q", graph_of("v"))] = frozenset()
+        for sketch in (g, again):
+            assert type(sketch.statements) is frozenset
+            with pytest.raises(AttributeError):
+                sketch.statements = frozenset()
+            with pytest.raises(AttributeError):
+                sketch.index = {}
+        assert again == g and hash(again) == hash(g)
+
+    def test_a_built_sketch_keeps_the_set_it_was_given(self, fx):
+        statements = frozenset(fx.sketch_g.statements)
+        assert Sketch(fx.graph_g, statements).statements is statements
