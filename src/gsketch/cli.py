@@ -251,7 +251,7 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
                 s = p.parse_statement(state.sketch.context)
                 p.expect("def")
                 definition = doc.lookup("condition", p.expect_name())
-                if s not in state.sketch.statements:
+                if not state.sketch.holds(s.predicate, s.key):
                     raise InputError("statement is not in the sketch")
                 bind(result_name(p), statement_to_constraint(
                     s, definition, identity(s.predicate.arity)))

@@ -25,7 +25,7 @@ from .category import initial_morphism
 from .graphs import (Graph, GraphMorphism, MismatchError, enumerate_extensions,
                      identity, iter_extensions)
 from .sketches import (Sketch, SketchMorphism, Statement, statement_key,
-                       translate_key, translate_statement)
+                       translate_index, translate_key)
 
 
 class EvaluationBudgetExceeded(RuntimeError):
@@ -307,8 +307,9 @@ def _conclusion(rule: SketchMorphism) -> Condition:
     """The statements of R outside the image a(S1) of the premise, over R.
     Where the premise holds at t, every r with a;r = t maps a(S1) onto
     t(S1), which holds already, so only these are left to check."""
-    image = {translate_statement(rule.morphism, s) for s in rule.dom.statements}
-    return statements_conj(rule.cod.context, rule.cod.statements - image)
+    image, rhs = translate_index(rule.morphism, rule.dom.index), rule.cod
+    return statements_conj(rhs.context, [
+        s for s in rhs.statements if s.key not in image.get(s.predicate, ())])
 
 
 def uc(rule: SketchMorphism) -> Condition:

@@ -16,7 +16,7 @@ from .conditions import (And, Condition, Constraint, Exists, Forall, Stmt,
                          statements_conj, uc, unguarded_exists)
 from .graphs import GraphMorphism, MismatchError, compose, identity
 from .sketches import (Sketch, SketchMorphism, Statement, sketch_pushout,
-                       translate_statement, unchecked)
+                       translate_index, unchecked)
 
 
 class RuleShapeError(ValueError):
@@ -38,9 +38,10 @@ class Rule(SketchMorphism):
         and the lhs image."""
         if morphism.dom != lhs.context:
             raise MismatchError("rule morphism endpoints differ from the sketches")
-        image = {translate_statement(morphism, s) for s in lhs.statements}
-        return unchecked(cls, dom=lhs, morphism=morphism, cod=Sketch(
-            morphism.cod, image.union(added)))
+        rhs = translate_index(morphism, lhs.index,
+                              Sketch(morphism.cod, added).index)
+        return unchecked(cls, dom=lhs, morphism=morphism,
+                         cod=Sketch._from_index(morphism.cod, rhs))
 
     @property
     def lhs(self) -> Sketch:

@@ -10,7 +10,7 @@ from .category import PullbackResult, PushoutResult
 from .conditions import Condition, Quantifier, Stmt, satisfies
 from .graphs import (GraphMorphism, compose, enumerate_extensions,
                      enumerate_morphisms, graph_of, is_isomorphism)
-from .sketches import Sketch, translate_statement
+from .sketches import Sketch, Statement
 from .translation import translate_condition
 
 
@@ -95,12 +95,18 @@ def isomorphisms(candidates):
     return (m for m in candidates if is_isomorphism(m))
 
 
+def composed_statement(phi: GraphMorphism, s: Statement) -> Statement:
+    """Stm(phi) by its definition, (P, b) |-> (P, b;phi): the reference for
+    the engine's translation of statement keys."""
+    return Statement(s.predicate, compose(s.binding, phi))
+
+
 def sketches_isomorphic(a: Sketch, b: Sketch) -> bool:
     """True iff some context isomorphism maps the statement sets bijectively."""
-    if len(a.statements) != len(b.statements):
+    sa, sb = a.statements, b.statements
+    if len(sa) != len(sb):
         return False
-    return any({translate_statement(phi, s) for s in a.statements}
-               == b.statements
+    return any({composed_statement(phi, s) for s in sa} == sb
                for phi in isomorphisms(enumerate_morphisms(a.context,
                                                            b.context)))
 

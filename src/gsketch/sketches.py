@@ -4,8 +4,10 @@ A statement is an atomic constraint: a predicate symbol together with a
 binding morphism from its arity graph into a context.  Over a fixed context
 the binding is given by its images, so a statement's key is the tuple of
 node images and the tuple of edge images, in the sorted order of the arity's
-nodes and edges; Stm(phi) maps a key by looking each image up in phi.  A
-sketch is a context plus a set of statements, kept as an index from each
+nodes and edges.  Stm(phi) has one implementation, ``translate_key``, which
+maps a key by looking each image up in phi; statements, indexes and
+multi-sketch families are all translated through it.  A sketch is a context
+plus a set of statements, of which it stores only the index from each
 predicate to the keys of its statements; sketch morphisms preserve
 statements.  Sketch-level pushouts and pullbacks are derived from the
 graph-level ones and read and write that index, including the multi-sketch
@@ -19,8 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .category import pair_name, pullback, pushout, tagged_quotient
-from .graphs import (Graph, GraphMorphism, MismatchError, compose,
-                     validate_graph)
+from .graphs import Graph, GraphMorphism, MismatchError, validate_graph
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,10 @@ class Statement:
 
 
 def statement_key(s: Statement):
-    """Canonical ordering key: predicate name, then binding maps."""
-    return (s.predicate.name,
-            tuple(sorted(s.binding.node_map.items())),
-            tuple(sorted(s.binding.edge_map.items())))
+    """Canonical ordering key: predicate name, then the sorted binding maps."""
+    (nodes, edges), (images, edge_images) = s.predicate.order, s.key
+    return (s.predicate.name, tuple(zip(nodes, images)),
+            tuple(zip(edges, edge_images)))
 
 
 def translate_key(phi: GraphMorphism, key):
@@ -122,28 +123,40 @@ def translate_key(phi: GraphMorphism, key):
             tuple(map(phi.edge_map.__getitem__, edges)))
 
 
+def translate_index(phi: GraphMorphism, index, into=None) -> dict:
+    """Stm(phi) on a whole index: each predicate's keys translated along
+    phi, joined to its keys in the index ``into`` when that is given."""
+    out = dict(into or ())
+    for p, keys in index.items():
+        out[p] = out.get(p, frozenset()).union(
+            translate_key(phi, key) for key in keys)
+    return out
+
+
 def _statement_at(p: PredicateSymbol, context: Graph, key) -> Statement:
     """The statement of ``p`` over ``context`` with this key, unchecked: the
-    key's images must form a binding of the arity into ``context``."""
+    key's images must form a binding of the arity into ``context``.  The
+    statement keeps the key it was given."""
     nodes, edges = p.order
-    return unchecked(Statement, predicate=p, binding=GraphMorphism._trusted(
-        p.arity, context, dict(zip(nodes, key[0])), dict(zip(edges, key[1]))))
+    return unchecked(Statement, predicate=p, key=key,
+                     binding=GraphMorphism._trusted(
+                         p.arity, context, dict(zip(nodes, key[0])),
+                         dict(zip(edges, key[1]))))
 
 
 class Sketch:
     """A context and a set of statements bound in it.
 
-    The statements are kept in ``index``, a read-only map from each
-    predicate to the frozenset of the keys of its statements, built once.
-    ``statements`` is the frozenset of the statements themselves: the set
-    the sketch was built from, or else built from the index on first read
-    and kept.  ``==`` and the hash read the context and the index only.
+    The sketch stores only ``index``, a read-only map from each predicate
+    to the frozenset of the keys of its statements, built once.
+    ``statements``, the frozenset of the statements themselves, is built
+    from the index on each read.  ``==`` and the hash read the context and
+    the index.
     """
 
-    __slots__ = ("context", "index", "_statements", "_hash")
+    __slots__ = ("context", "index", "_hash")
 
     def __init__(self, context: Graph, statements: Iterable[Statement] = ()):
-        statements = frozenset(statements)
         index = {}
         for s in statements:
             if s.context != context:
@@ -152,7 +165,6 @@ class Sketch:
                     % s.predicate.name)
             index.setdefault(s.predicate, set()).add(s.key)
         self._own(context, index)
-        object.__setattr__(self, "_statements", statements)
 
     @classmethod
     def _from_index(cls, context: Graph, index: dict) -> "Sketch":
@@ -173,14 +185,8 @@ class Sketch:
 
     @property
     def statements(self) -> frozenset:
-        try:
-            return self._statements
-        except AttributeError:
-            statements = frozenset(
-                _statement_at(p, self.context, key)
-                for p, keys in self.index.items() for key in keys)
-            object.__setattr__(self, "_statements", statements)
-            return statements
+        return frozenset(_statement_at(p, self.context, key)
+                         for p, keys in self.index.items() for key in keys)
 
     def holds(self, p: PredicateSymbol, key) -> bool:
         """True iff the statement of ``p`` with this key is in the sketch."""
@@ -209,10 +215,10 @@ class Sketch:
 
 
 def translate_statement(phi: GraphMorphism, s: Statement) -> Statement:
-    """Post-compose the binding: Stm(phi)(P, b) = (P, b;phi)."""
+    """Stm(phi)(P, b) = (P, b;phi), computed on the statement's key."""
     if s.binding.cod != phi.dom:
         raise MismatchError("statement is not bound in the morphism's domain")
-    return Statement(s.predicate, compose(s.binding, phi))
+    return _statement_at(s.predicate, phi.cod, translate_key(phi, s.key))
 
 
 def is_sketch_morphism(phi: GraphMorphism, k: Sketch, g: Sketch) -> bool:
@@ -252,12 +258,8 @@ def sketch_pushout(m: SketchMorphism, r: SketchMorphism):
     if m.dom != r.dom:
         raise MismatchError("sketch pushout needs a span with a common domain")
     po = pushout(m.morphism, r.morphism)
-    index = {}
-    for leg, sketch in ((po.right, r.cod), (po.left, m.cod)):
-        for p, keys in sketch.index.items():
-            index.setdefault(p, set()).update(
-                translate_key(leg, key) for key in keys)
-    d = Sketch._from_index(po.object, index)
+    d = Sketch._from_index(po.object, translate_index(
+        po.left, m.cod.index, translate_index(po.right, r.cod.index)))
     # D holds the image of every statement of A and B
     return (d, unchecked(SketchMorphism, dom=m.cod, cod=d, morphism=po.left),
             unchecked(SketchMorphism, dom=r.cod, cod=d, morphism=po.right))
@@ -268,13 +270,6 @@ def _paired_key(kb, ka):
     ``ka`` in A: each position holds the pair ``b|a`` of its two images."""
     return (tuple(map(pair_name, kb[0], ka[0])),
             tuple(map(pair_name, kb[1], ka[1])))
-
-
-def paired_statement(sb: Statement, sa: Statement, d: Graph) -> Statement:
-    """The statement over a pullback object D that projects to ``sb`` in B
-    and to ``sa`` in A.  Both statements share a predicate, and their images
-    in the cospan's codomain agree."""
-    return _statement_at(sb.predicate, d, _paired_key(sb.key, sa.key))
 
 
 def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
@@ -351,6 +346,10 @@ class MultiSketchMorphism:
     id_map: Mapping[str, str]
 
     def __post_init__(self):
+        if (self.morphism.dom != self.dom.context
+                or self.morphism.cod != self.cod.context):
+            raise MismatchError(
+                "morphism endpoints differ from the multi-sketch contexts")
         object.__setattr__(self, "id_map", MappingProxyType(dict(self.id_map)))
         for i in self.dom.ids:
             if i not in self.id_map:
@@ -358,7 +357,9 @@ class MultiSketchMorphism:
             j = self.id_map[i]
             if j not in self.cod.ids:
                 raise MismatchError("identifier %r maps to unknown %r" % (i, j))
-            if translate_statement(self.morphism, self.dom.stm[i]) != self.cod.stm[j]:
+            s, t = self.dom.stm[i], self.cod.stm[j]
+            if (s.predicate != t.predicate
+                    or translate_key(self.morphism, s.key) != t.key):
                 raise MismatchError(
                     "identifier map is incompatible with statements at %r" % i)
 
@@ -385,10 +386,10 @@ def multi_pushout(m: MultiSketchMorphism, r: MultiSketchMorphism):
     ids_l, ids_r = tagged_quotient(
         m.cod.ids, r.cod.ids, ((m.id_map[i], r.id_map[i]) for i in m.dom.ids))
     stm = {}
-    for i in m.cod.ids:
-        stm[ids_l[i]] = translate_statement(po.left, m.cod.stm[i])
-    for i in r.cod.ids:
-        stm[ids_r[i]] = translate_statement(po.right, r.cod.stm[i])
+    for leg, side, ids in ((po.left, m.cod, ids_l), (po.right, r.cod, ids_r)):
+        for i, s in side.stm.items():
+            stm[ids[i]] = _statement_at(s.predicate, po.object,
+                                        translate_key(leg, s.key))
     d = MultiSketch(po.object, stm)
     # each identifier's statement is translated along its own leg
     return (d, _multi_leg(m.cod, d, po.left, ids_l),
@@ -411,7 +412,8 @@ def multi_pullback(m: MultiSketchMorphism, r: MultiSketchMorphism):
              for i in sorted(m.dom.ids) for j in sorted(r.dom.ids)
              if m.id_map[i] == r.id_map[j]}
     d = MultiSketch(pb.object, {
-        p: paired_statement(m.dom.stm[i], r.dom.stm[j], pb.object)
+        p: _statement_at(m.dom.stm[i].predicate, pb.object, _paired_key(
+            m.dom.stm[i].key, r.dom.stm[j].key))
         for p, (i, j) in pairs.items()})
     # each paired statement projects to the two it was built from
     return (d, _multi_leg(d, m.dom, pb.left,

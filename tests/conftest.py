@@ -3,9 +3,11 @@ import pathlib
 
 import pytest
 
+from gsketch import sketches
 from gsketch.ct import build_ct_fixtures
 from gsketch.dsl import parse_files
 from gsketch.graphs import GraphMorphism
+from gsketch.sketches import Statement
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "ct"
 
@@ -27,6 +29,27 @@ def corpus_paths():
 @pytest.fixture(scope="session")
 def doc(corpus_paths):
     return parse_files(corpus_paths)
+
+
+@pytest.fixture
+def statements_built(monkeypatch):
+    """A list that receives every statement value built from here on in
+    the test, through the validating constructor or through the engine's
+    unchecked ``sketches._statement_at``."""
+    built = []
+    init, at = Statement.__init__, sketches._statement_at
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def counting_at(*args):
+        built.append(at(*args))
+        return built[-1]
+
+    monkeypatch.setattr(Statement, "__init__", counting_init)
+    monkeypatch.setattr(sketches, "_statement_at", counting_at)
+    return built
 
 
 def brute_force_morphisms(a, g):

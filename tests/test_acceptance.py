@@ -26,9 +26,9 @@ from gsketch.graphs import (enumerate_extensions, enumerate_morphisms,
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
                               is_sketch_morphism, multi_pullback,
                               multi_pushout, sketch_pullback, sketch_pushout,
-                              translate_statement, MultiSketch,
-                              MultiSketchMorphism)
-from gsketch.oracles import (conditions_equal_modulo_renaming,
+                              MultiSketch, MultiSketchMorphism)
+from gsketch.oracles import (composed_statement,
+                             conditions_equal_modulo_renaming,
                              shift_equivalence_oracle, sketches_isomorphic,
                              verify_pullback, verify_pushout)
 
@@ -158,9 +158,9 @@ def test_criterion_7_universal_properties(fx, doc):
         assert verify_pushout(m.morphism, r.morphism,
                               PushoutResult(d.context, t_star.morphism,
                                             a_star.morphism))
-        want = ({translate_statement(t_star.morphism, s)
+        want = ({composed_statement(t_star.morphism, s)
                  for s in rhs.statements}
-                | {translate_statement(a_star.morphism, s)
+                | {composed_statement(a_star.morphism, s)
                    for s in r.cod.statements})
         assert d.statements == frozenset(want)
 
@@ -177,9 +177,9 @@ def test_criterion_7_universal_properties(fx, doc):
                 sigma = Statement(pred, binding)
                 if sigma in pd.statements:
                     continue
-                assert not (translate_statement(pm.morphism, sigma)
+                assert not (composed_statement(pm.morphism, sigma)
                             in b.statements
-                            and translate_statement(pr.morphism, sigma)
+                            and composed_statement(pr.morphism, sigma)
                             in b.statements)
 
         # multi level: componentwise context plus identifier classes

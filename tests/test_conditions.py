@@ -16,7 +16,7 @@ from gsketch.deduction import find_matches, rule_from_condition
 from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
                             morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
-                              is_sketch_morphism, translate_statement)
+                              is_sketch_morphism)
 from gsketch.oracles import conditions_equal_modulo_renaming
 
 

@@ -14,11 +14,12 @@ from gsketch.deduction import Rule, apply_rule, find_matches
 from gsketch.graphs import (Graph, GraphMorphism, compose,
                             enumerate_extensions, enumerate_morphisms,
                             identity, invert)
-from gsketch.oracles import verify_pullback, verify_pushout
+from gsketch.oracles import (composed_statement, verify_pullback,
+                             verify_pushout)
 from gsketch.sketches import (MultiSketch, MultiSketchMorphism, Sketch,
                               SketchMorphism, Statement, multi_pullback,
                               multi_pushout, sketch_pullback, sketch_pushout,
-                              statement_key, translate_statement)
+                              statement_key)
 from gsketch.translation import chosen_pushout
 
 from test_graphs import small_graphs
@@ -124,7 +125,7 @@ def image_ids(family, leg, target):
     """The identifier map sending each statement of ``family`` to the
     identifier of its image along ``leg`` in the family ``target``."""
     by_statement = {s: j for j, s in target.items()}
-    return {i: by_statement[translate_statement(leg, s)]
+    return {i: by_statement[composed_statement(leg, s)]
             for i, s in family.items()}
 
 
@@ -227,7 +228,7 @@ class TestMultiSketchLegs:
         apex = identified(some_statements(data.draw, m.dom), "c")
         sides = []
         for leg, prefix in ((m, "b"), (r, "a")):
-            family = identified({translate_statement(leg, s)
+            family = identified({composed_statement(leg, s)
                                  for s in apex.values()}
                                 | some_statements(data.draw, leg.cod, 2),
                                 prefix)
@@ -246,7 +247,7 @@ class TestMultiSketchLegs:
         m, r = cospan
         b = identified(some_statements(data.draw, m.dom), "b")
         a = identified(some_statements(data.draw, r.dom), "a")
-        c = identified({translate_statement(leg, s)
+        c = identified({composed_statement(leg, s)
                         for family, leg in ((b, m), (a, r))
                         for s in family.values()}, "c")
         base = MultiSketch(m.cod, c)
@@ -271,7 +272,7 @@ class TestRuleApplication:
         a, t = span
         lhs = Sketch(a.dom, some_statements(data.draw, a.dom, 2))
         rule = Rule.build(lhs, a, some_statements(data.draw, a.cod, 2))
-        host = Sketch(t.cod, {translate_statement(t, s)
+        host = Sketch(t.cod, {composed_statement(t, s)
                               for s in lhs.statements}
                       | some_statements(data.draw, t.cod, 2))
         for match in find_matches(rule, host):

@@ -24,8 +24,9 @@ from gsketch.deduction import (CertificationError, ConstrainedSketch,
 from gsketch.dsl import parse_files
 from gsketch.graphs import (compose, enumerate_extensions, enumerate_morphisms,
                             graph_of, identity, morphism_of)
+from gsketch.oracles import composed_statement
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
-                              is_sketch_morphism, translate_statement)
+                              is_sketch_morphism)
 
 from test_graphs import small_graphs
 
@@ -47,7 +48,7 @@ def premise_condition(rule):
 
 def added_statements(rule):
     """The statements of the rhs outside the image of the lhs."""
-    return rule.rhs.statements - {translate_statement(rule.morphism, s)
+    return rule.rhs.statements - {composed_statement(rule.morphism, s)
                                   for s in rule.lhs.statements}
 
 
@@ -291,33 +292,26 @@ class TestFirstMatch:
                 eager_repair(rules, g, max_steps)
 
     def test_repair_translates_nothing_and_checks_each_rule_once(
-            self, fx, monkeypatch):
-        # statement leaves and pushouts work on statement keys, and a drawn
-        # match is applied without being evaluated again
+            self, fx, monkeypatch, statements_built):
+        # rules, statement leaves and pushouts work on statement keys, and
+        # a drawn match is applied without being evaluated again
         rules = [rule3(fx), rule6(fx)]
+        assert statements_built == []
         for r in rules:
             r.universal_constraint
         start = duplicate_composite_chain(8)
         want = eager_repair(rules, start, 40)
-        translated, checked = [], []
-
-        def counting_translate(phi, s):
-            translated.append(s)
-            return translate_statement(phi, s)
+        del statements_built[:]
+        checked = []
 
         def counting_check(c):
             checked.append(c)
             return well_formed(c)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("gsketch") and getattr(
-                    module, "translate_statement", None) is translate_statement:
-                monkeypatch.setattr(module, "translate_statement",
-                                    counting_translate)
         monkeypatch.setattr(conditions, "well_formed", counting_check)
         got = repair_outcome(rules, start, 40)
         assert got == want and len(got[1]) > 8 and not got[2]
-        assert translated == []
+        assert statements_built == []
         assert checked == [r.universal_constraint for r in rules]
 
     def test_checks_come_before_the_first_draw(self, fx):

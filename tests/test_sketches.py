@@ -12,8 +12,9 @@ from gsketch.sketches import (Footprint, MultiSketch, MultiSketchMorphism,
                               PredicateSymbol, Sketch, SketchMorphism,
                               Statement, is_sketch_morphism, multi_pullback,
                               multi_pushout, sketch_pullback, sketch_pushout,
-                              translate_key, translate_statement)
-from gsketch.oracles import sketches_isomorphic
+                              statement_key, translate_key,
+                              translate_statement)
+from gsketch.oracles import composed_statement, sketches_isomorphic
 
 from test_graphs import small_graphs
 
@@ -168,9 +169,9 @@ class TestSketchPullback:
                 sigma = Statement(pred, binding)
                 if sigma in d.statements:
                     continue
-                ok_left = translate_statement(
+                ok_left = composed_statement(
                     r_star.morphism, sigma) in b.statements
-                ok_right = translate_statement(
+                ok_right = composed_statement(
                     m_star.morphism, sigma) in b.statements
                 assert not (ok_left and ok_right)
 
@@ -180,6 +181,25 @@ class TestMultiSketches:
         g = fx.graph_g
         s = monic_stmt(g, "b")
         return MultiSketch(g, {"i1": s, "i2": s})
+
+    def test_morphism_endpoints_checked(self, fx):
+        # without identifiers no statement is translated, so only the
+        # endpoint check sees the foreign context morphism
+        x, yz = MultiSketch(graph_of("x"), {}), MultiSketch(graph_of("y z"), {})
+        for m in (identity(graph_of("", "a:p->q")), identity(graph_of("x")),
+                  identity(graph_of("y z"))):
+            with pytest.raises(MismatchError, match="multi-sketch contexts"):
+                MultiSketchMorphism(x, yz, m, {})
+        assert MultiSketchMorphism(x, x, identity(graph_of("x")), {}).dom == x
+
+    def test_identified_statements_share_a_predicate(self, fx):
+        # equal keys under another predicate of the same arity do not match
+        g = fx.graph_g
+        epi = PredicateSymbol("epi", MONIC.arity)
+        single = MultiSketch(g, {"j": monic_stmt(g, "b")})
+        other = MultiSketch(g, {"k": Statement(epi, monic_stmt(g, "b").binding)})
+        with pytest.raises(MismatchError, match="incompatible"):
+            MultiSketchMorphism(single, other, identity(g), {"j": "k"})
 
     def test_statement_family_read_only(self, fx):
         ms = self._monic_pair(fx)
@@ -297,8 +317,8 @@ def enumerated_pullback(m, r):
         sigma for p in shared
         for sigma in (Statement(p, b)
                       for b in enumerate_morphisms(p.arity, pb.object))
-        if translate_statement(pb.right, sigma) in r.dom.statements
-        and translate_statement(pb.left, sigma) in m.dom.statements]
+        if composed_statement(pb.right, sigma) in r.dom.statements
+        and composed_statement(pb.left, sigma) in m.dom.statements]
     return Sketch(pb.object, statements), pb.right, pb.left
 
 
@@ -342,11 +362,11 @@ def sketch_cospans(draw):
         lambda g: g.nodes))
     mb, ra = draw(graphs_over(c)), draw(graphs_over(c))
     sb = draw(some_of(all_statements(mb.dom)))
-    images = {translate_statement(mb, s) for s in sb}
+    images = {composed_statement(mb, s) for s in sb}
     paired = [s for s in all_statements(ra.dom)
-              if translate_statement(ra, s) in images]
+              if composed_statement(ra, s) in images]
     sa = draw(some_of(all_statements(ra.dom))) | draw(some_of(paired))
-    images |= {translate_statement(ra, s) for s in sa}
+    images |= {composed_statement(ra, s) for s in sa}
     sc = Sketch(c, images)
     return (SketchMorphism(Sketch(mb.dom, sb), sc, mb),
             SketchMorphism(Sketch(ra.dom, sa), sc, ra))
@@ -406,7 +426,7 @@ def leaf_cases(draw):
     s = draw(st.sampled_from(candidates))
     statements = draw(statement_sets(fp, g))
     if draw(st.booleans()):
-        statements.add(translate_statement(t, s))
+        statements.add(composed_statement(t, s))
     return Sketch(g, statements), s, t
 
 
@@ -422,26 +442,51 @@ def sketch_spans(draw):
         cod = draw(targets())
         m = draw(st.sampled_from(enumerate_morphisms(c.context, cod)))
         statements = draw(statement_sets(fp, cod))
-        statements |= {translate_statement(m, s) for s in c.statements}
+        statements |= {composed_statement(m, s) for s in c.statements}
         legs.append(SketchMorphism(c, Sketch(cod, statements), m))
     return legs
 
 
 @st.composite
-def fp_sketches(draw):
+def sketch_inputs(draw):
+    """A random graph and a set of statements bound in it."""
     fp = draw(footprints())
     g = draw(small_graphs(max_nodes=3, max_edges=4))
-    return Sketch(g, draw(statement_sets(fp, g, max_size=6)))
+    return g, draw(statement_sets(fp, g, max_size=6))
+
+
+@st.composite
+def translation_chains(draw):
+    """A statement s over K and two composable morphisms t1: K -> G1 and
+    t2: G1 -> G2."""
+    fp = draw(footprints())
+    k = draw(small_graphs(max_nodes=3, max_edges=3))
+    candidates = statements_of(fp, k)
+    assume(candidates)
+    s = draw(st.sampled_from(candidates))
+    g1, g2 = draw(targets()), draw(targets())
+    t1 = draw(st.sampled_from(enumerate_morphisms(k, g1)))
+    t2 = draw(st.sampled_from(enumerate_morphisms(g1, g2)))
+    return s, t1, t2
+
+
+def old_statement_key(s):
+    """The canonical ordering key as the sorted items of the binding maps."""
+    return (s.predicate.name,
+            tuple(sorted(s.binding.node_map.items())),
+            tuple(sorted(s.binding.edge_map.items())))
 
 
 class TestStatementIndexDifferential:
-    """The index of statement keys against the statements it stands for."""
+    """The index of statement keys against the statements it stands for,
+    with statements translated by composing bindings
+    (``oracles.composed_statement``)."""
 
     @settings(max_examples=200, deadline=None)
     @given(leaf_cases())
     def test_leaf_lookup_is_translated_membership(self, case):
         g, s, t = case
-        want = translate_statement(t, s) in g.statements
+        want = composed_statement(t, s) in g.statements
         assert g.holds(s.predicate, translate_key(t, s.key)) == want
         assert satisfies(t, g, stmt(s)).holds == want
 
@@ -452,19 +497,21 @@ class TestStatementIndexDifferential:
         d, r_star, m_star = sketch_pushout(m, r)
         po = pushout(m.morphism, r.morphism)
         want = Sketch(po.object,
-                      {translate_statement(po.right, s) for s in r.cod.statements}
-                      | {translate_statement(po.left, s) for s in m.cod.statements})
+                      {composed_statement(po.right, s) for s in r.cod.statements}
+                      | {composed_statement(po.left, s) for s in m.cod.statements})
         assert d.statements == want.statements
         assert d == want and want == d and hash(d) == hash(want)
         assert (r_star.morphism, m_star.morphism) == (po.left, po.right)
 
     @settings(max_examples=200, deadline=None)
-    @given(fp_sketches())
-    def test_sketch_from_its_index_is_the_sketch(self, g):
+    @given(sketch_inputs())
+    def test_sketch_from_its_index_is_the_sketch(self, case):
+        context, statements = case
+        g = Sketch(context, statements)
         again = Sketch._from_index(g.context, dict(g.index))
         assert again == g and g == again and hash(again) == hash(g)
-        assert again.statements == g.statements
-        assert again.statements is again.statements
+        assert again.statements == frozenset(statements)
+        assert again.statements == again.statements == g.statements
         assert all(type(keys) is frozenset and keys
                    for keys in g.index.values())
         for p in g.index:
@@ -480,6 +527,38 @@ class TestStatementIndexDifferential:
                 sketch.index = {}
         assert again == g and hash(again) == hash(g)
 
-    def test_a_built_sketch_keeps_the_set_it_was_given(self, fx):
-        statements = frozenset(fx.sketch_g.statements)
-        assert Sketch(fx.graph_g, statements).statements is statements
+    @settings(max_examples=200, deadline=None)
+    @given(sketch_inputs())
+    def test_a_built_sketch_gives_back_the_set_it_was_given(self, case):
+        context, statements = case
+        g = Sketch(context, statements)
+        assert g.statements == frozenset(statements) == g.statements
+        again = Sketch(context, list(g.statements))
+        assert again.index == g.index and hash(again) == hash(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(translation_chains())
+    def test_translate_statement_is_composition(self, chain):
+        s, t1, t2 = chain
+        once = translate_statement(t1, s)
+        assert once == composed_statement(t1, s)
+        assert hash(once) == hash(composed_statement(t1, s))
+        twice = translate_statement(t2, once)
+        assert twice == composed_statement(t2, composed_statement(t1, s))
+        assert twice == composed_statement(compose(t1, t2), s)
+        # the key a translated statement keeps is the key of its binding
+        for out in (once, twice):
+            assert out.key == Statement(out.predicate, out.binding).key
+        if t2.dom != s.context:
+            with pytest.raises(MismatchError):
+                translate_statement(t2, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sketch_inputs())
+    def test_statement_key_is_the_sorted_binding_maps(self, case):
+        context, statements = case
+        built = Sketch(context, statements)
+        for s in list(statements) + list(built.statements):
+            assert statement_key(s) == old_statement_key(s)
+        assert built.sorted_statements() == sorted(statements,
+                                                   key=old_statement_key)
