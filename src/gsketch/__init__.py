@@ -23,9 +23,8 @@ from .deduction import (CertificationError, ConstrainedSketch, Rule,
                         cstr_translate, find_matches, modus_ponens,
                         repair_to_fixpoint, rule_from_condition, skolemize,
                         statement_to_constraint, universal_elim)
-from .ct import (CT_FOOTPRINT, build_ct_fixtures, colimit_condition,
-                 comp_stmt, cone_contexts, final_stmt, limit_condition,
-                 monic_stmt, unfold)
+from .ct import (CT_FOOTPRINT, colimit_condition, comp_stmt, cone_contexts,
+                 final_stmt, limit_condition, monic_stmt, unfold)
 from .dsl import (Document, ParseError, ResolutionError, ValidationError,
                   format_condition, parse, parse_files, print_document)
 from .oracles import (conditions_equal_modulo_renaming, default_test_graphs,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a checked constraint fails, 2 input/usage error,
-3 the repair step bound was exhausted while rules still matched.
+3 the repair step bound was exhausted while rules still matched, 4 the
+evaluation step budget was exhausted.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import sys
 from typing import List, Optional
 
 from .category import initial_morphism
-from .conditions import (Constraint, Forall, check_constraint,
-                         violating_extensions)
+from .conditions import (Constraint, EvaluationBudgetExceeded, Forall,
+                         check_constraint, violating_extensions)
 from .deduction import (CertificationError, ConstrainedSketch, RuleShapeError,
                         conj_elim, conj_intro, modus_ponens,
                         repair_to_fixpoint, skolemize, statement_to_constraint,
@@ -342,6 +343,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             InputError, MismatchError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except EvaluationBudgetExceeded as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

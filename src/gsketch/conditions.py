@@ -29,7 +29,7 @@ from .sketches import (Sketch, SketchMorphism, Statement, statement_key,
 
 
 class EvaluationBudgetExceeded(RuntimeError):
-    """The evaluator's step budget ran out (should not happen at desk scale)."""
+    """The evaluator's step budget ran out; the verdict is unknown."""
 
 
 class IllFormedConditionError(ValueError):

@@ -2,8 +2,10 @@
 
 Declarations (graphs, footprints, morphisms, sketches, conditions,
 constraints, rules) are named and cross-reference each other by name.
-``parse(print(doc))`` is structurally the identity on documents produced by
-``parse``.
+``parse(print(doc))`` is structurally the identity on a document that
+declares every graph and morphism it references.  The printer declares an
+inline graph body as ``graph_N``, so any other document round-trips exactly
+after one print/parse pass.
 """
 from __future__ import annotations
 

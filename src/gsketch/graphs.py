@@ -267,8 +267,8 @@ def search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
 
     Yields in canonical order: dom elements are assigned in lexicographic
     order, nodes before edges, candidate targets in lexicographic order.
-    A node seed for a name outside dom is ignored; a seed image outside
-    the codomain, or seeds that disagree, give nothing.
+    A seed for a node or edge name outside dom is ignored; a seed image
+    outside the codomain, or seeds that disagree, give nothing.
 
     The codomain edges are read through ``cod``'s index by (source,
     target), built on the first search into ``cod``.  A node image is
@@ -291,6 +291,8 @@ def search(dom: Graph, cod: Graph, node_seed: Mapping[str, str],
     for e, img in edge_seed.items():
         if img not in cod.edges:
             return
+        if e not in dom.edges:
+            continue
         # seeded edges force their endpoints
         for end, cend in ((dom.src[e], cod.src[img]), (dom.tgt[e], cod.tgt[img])):
             if node_map.setdefault(end, cend) != cend:

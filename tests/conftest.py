@@ -4,10 +4,11 @@ import pathlib
 import pytest
 
 from gsketch import sketches
-from gsketch.ct import build_ct_fixtures
 from gsketch.dsl import parse_files
 from gsketch.graphs import GraphMorphism
 from gsketch.sketches import Statement
+
+from ct_example import build_ct_fixtures
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "ct"
 

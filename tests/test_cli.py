@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gsketch import deduction
+from gsketch import cli, conditions, deduction
 from gsketch.cli import main
 from gsketch.dsl import parse
 
@@ -80,6 +80,18 @@ class TestCheck:
         assert capsys.readouterr().err == (
             "error: line 1, column 829: condition nested more than 200 deep\n")
 
+    def test_exhausted_budget_exits_four(self, corpus, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise conditions.EvaluationBudgetExceeded(
+                "evaluation step budget exhausted")
+
+        monkeypatch.setattr(cli, "check_constraint", exhausted)
+        code = main(["check", *corpus, "--constraint", "k_phi3",
+                     "--sketch", "G"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: evaluation step budget exhausted\n")
+
     def test_missing_file_exits_two(self, capsys):
         code = main(["check", "/nonexistent.sketch", "--all"])
         capsys.readouterr()
@@ -149,6 +161,14 @@ class TestRepair:
         captured = capsys.readouterr()
         assert code == 3
         assert "exhausted" in captured.err
+
+    def test_exhausted_budget_exits_four(self, corpus, capsys, monkeypatch):
+        monkeypatch.setattr(conditions, "DEFAULT_BUDGET", 3)
+        code = main(["repair", *corpus, "--sketch", "G",
+                     "--rules", "merge_composites", "monic_first_factor"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: evaluation step budget exhausted\n")
 
     def test_unknown_rule(self, corpus, capsys):
         code = main(["repair", *corpus, "--sketch", "G", "--rules", "nope"])

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsketch.conditions import And, Bottom, Exists, Forall, Not, Or, Top
+from gsketch.conditions import (And, Bottom, Exists, Forall, Not, Or, Top,
+                                stmt)
+from gsketch.deduction import Rule
 from gsketch.dsl import (KEYWORDS, MAX_NESTING, ConstraintDecl, Document,
                          ParseError, ResolutionError, ValidationError, _tokenize,
                          format_condition, parse, parse_files, print_document,
                          read_source)
 from gsketch.graphs import Graph, GraphMorphism, graph_of, inclusion
 from gsketch.oracles import conditions_equal_modulo_renaming
-from gsketch.sketches import statement_key
+from gsketch.sketches import (Footprint, PredicateSymbol, Sketch, Statement,
+                              statement_key)
 
 BASE = """
 graph Arrow { nodes v1 v2; edges e: v1 -> v2; }
@@ -481,42 +484,111 @@ def morphisms_from(draw, dom):
 
 
 @st.composite
-def conditions_over(draw, context, depth=2):
-    """Conditions whose quantifiers shift along ``extend`` inclusions."""
+def bindings(draw, arity, context):
+    """A morphism from ``arity`` into ``context``, drawn edge by edge among
+    the context edges that fit the endpoints placed so far; None if some
+    edge has none."""
+    node_map, edge_map = {}, {}
+
+    def placed(e, x):
+        ends = dict(node_map)
+        for end, img in ((arity.src[e], context.src[x]),
+                         (arity.tgt[e], context.tgt[x])):
+            if ends.setdefault(end, img) != img:
+                return None
+        return ends
+
+    for e in sorted(arity.edges):
+        fits = [x for x in sorted(context.edges) if placed(e, x) is not None]
+        if not fits:
+            return None
+        edge_map[e] = x = draw(st.sampled_from(fits))
+        node_map = placed(e, x)
+    free = sorted(arity.nodes - node_map.keys())
+    if free and not context.nodes:
+        return None
+    for n in free:
+        node_map[n] = draw(st.sampled_from(sorted(context.nodes)))
+    return GraphMorphism(arity, context, node_map, edge_map)
+
+
+@st.composite
+def statement_over(draw, context, preds):
+    """A statement over ``context`` of one of ``preds``; None if the drawn
+    predicate has no binding there."""
+    p = draw(st.sampled_from(preds))
+    binding = draw(bindings(p.arity, context))
+    return None if binding is None else Statement(p, binding)
+
+
+@st.composite
+def statements_over(draw, context, preds):
+    """Up to three statements over ``context`` of the predicates ``preds``."""
+    drawn = draw(st.lists(statement_over(context, preds), max_size=3))
+    return [s for s in drawn if s is not None]
+
+
+@st.composite
+def conditions_over(draw, context, depth=2, preds=()):
+    """Conditions whose quantifiers shift along ``extend`` inclusions; with
+    ``preds``, leaves may be statements of them."""
     kind = draw(st.sampled_from(
         ["leaf", "not", "junction", "quantifier"] if depth else ["leaf"]))
     if kind == "leaf":
+        s = draw(statement_over(context, preds)) if preds else None
+        if s is not None and draw(st.booleans()):
+            return stmt(s)
         return draw(st.sampled_from([Top, Bottom]))(context)
     if kind == "not":
-        return Not(context, draw(conditions_over(context, depth - 1)))
+        return Not(context, draw(conditions_over(context, depth - 1, preds)))
     if kind == "junction":
-        children = draw(st.lists(conditions_over(context, depth - 1),
+        children = draw(st.lists(conditions_over(context, depth - 1, preds),
                                  max_size=2))
         return draw(st.sampled_from([And, Or]))(context, tuple(children))
     shift = inclusion(context, draw(extensions(context)))
     guard = draw(st.one_of(st.just(Top(context)),
-                           conditions_over(context, depth - 1)))
-    body = draw(conditions_over(shift.cod, depth - 1))
+                           conditions_over(context, depth - 1, preds)))
+    body = draw(conditions_over(shift.cod, depth - 1, preds))
     return draw(st.sampled_from([Exists, Forall]))(context, guard, shift, body)
 
 
 @st.composite
 def documents(draw):
-    g_name, h_name, m_name, c_name, k_name = draw(
-        st.lists(NAMES, unique=True, min_size=5, max_size=5))
+    """A document that declares every graph and morphism it references:
+    a footprint of one or two predicates, a condition and its constraint,
+    and a rule between two declared sketches."""
+    def unique_names(size):
+        return draw(st.lists(NAMES, unique=True, min_size=size,
+                             max_size=size))
+
+    # names are unique within each table; tables may share them
+    n = draw(st.integers(1, 2))
+    g_name, h_name, *arity_names = unique_names(2 + n)
+    lhs_name, rhs_name = unique_names(2)
+    m_name, c_name, k_name, fp_name, r_name = (draw(NAMES) for _ in range(5))
+    doc = Document()
+    preds = []
+    for arity_name, pred_name in zip(arity_names, unique_names(n)):
+        arity = doc.graphs[arity_name] = draw(extensions(graph_of()))
+        preds.append(PredicateSymbol(pred_name, arity))
+    doc.footprints[fp_name] = Footprint(preds)
     g = draw(extensions(graph_of()))
     m = draw(morphisms_from(g))
-    cond = draw(conditions_over(g))
+    cond = draw(conditions_over(g, preds=preds))
     if draw(st.booleans()):
         # a shift along a declared morphism is printed as its name
         cond = And(g, (cond, Exists(g, Top(g), m,
-                                    draw(conditions_over(m.cod, 1)))))
-    doc = Document()
+                                    draw(conditions_over(m.cod, 1, preds)))))
+    rule = Rule.build(Sketch(g, draw(statements_over(g, preds))), m,
+                      draw(statements_over(m.cod, preds)))
     doc.graphs[g_name] = g
     doc.graphs[h_name] = m.cod
     doc.morphisms[m_name] = m
+    doc.sketches[lhs_name] = rule.lhs
+    doc.sketches[rhs_name] = rule.rhs
     doc.conditions[c_name] = cond
     doc.constraints[k_name] = ConstraintDecl(c_name, cond, m_name, m)
+    doc.rules[r_name] = rule
     return doc
 
 
@@ -525,3 +597,21 @@ class TestRoundTripProperty:
     @given(documents())
     def test_parse_inverts_print(self, doc):
         assert parse(print_document(doc)) == doc
+
+    def test_inline_graphs_are_exact_after_one_pass(self):
+        # inline graph bodies print as graph_N declarations, so the first
+        # pass adds graphs; from then on text and document stay fixed
+        first = parse("""
+footprint F { pred p arity { nodes u v; edges f: u -> v; }; }
+sketch S over F on { nodes a b; edges e: a -> b; } { stmt p via { f -> e }; }
+condition c over { nodes x; } = true
+""")
+        second = parse(print_document(first))
+        assert second != first
+        assert sorted(second.graphs) == ["graph_1", "graph_2", "graph_3"]
+        assert (second.footprints, second.sketches, second.conditions) == (
+            first.footprints, first.sketches, first.conditions)
+        text = print_document(second)
+        third = parse(text)
+        assert third == second
+        assert print_document(third) == text

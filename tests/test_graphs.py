@@ -265,9 +265,12 @@ class TestEnumeration:
             l3, chain, edges={"e1": "a9", "e2": "a10", "e3": "d9", "e4": "d9"})
 
     def test_seed_outside_the_domain_is_ignored(self):
-        got = enumerate_morphisms_extending(MONIC_ARITY, G, {"zz": "1"}, {})
-        assert got == enumerate_morphisms(MONIC_ARITY, G)
-        assert all(m.node_map.keys() == {"v1", "v2"} for m in got)
+        for node_seed, edge_seed in (({"zz": "1"}, {}), ({}, {"zz": "a"})):
+            got = enumerate_morphisms_extending(MONIC_ARITY, G, node_seed,
+                                                edge_seed)
+            assert got == enumerate_morphisms(MONIC_ARITY, G)
+            assert all(m.node_map.keys() == {"v1", "v2"} for m in got)
+            assert all(m.edge_map.keys() == {"e"} for m in got)
 
 
 class TestSearchIndex:

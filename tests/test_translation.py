@@ -1,17 +1,29 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gsketch.category import PushoutResult
 from gsketch.conditions import (Exists, Stmt, Top, satisfies, stmt,
                                 well_formed)
-from gsketch.ct import COMP, MONIC, monic_stmt
+from gsketch.ct import (COMP, MONIC, colimit_condition, limit_condition,
+                        monic_stmt)
 from gsketch.graphs import (MismatchError, compose, enumerate_morphisms,
-                            graph_of, identity, invert, is_isomorphism,
-                            morphism_of)
+                            graph_of, identity, invert, morphism_of)
 from gsketch.oracles import shift_equivalence_oracle, verify_pushout
 from gsketch.sketches import Sketch, Statement
 from gsketch.translation import chosen_pushout, translate_condition
 
+from test_graphs import small_graphs
+
 LOOP = graph_of("", "l:v->v")
+
+# (co)limit shapes with one or two nodes
+SHAPES = {"object": graph_of("a"), "pair": graph_of("a b"),
+          "arrow": graph_of("", "k:a->b"),
+          "parallel pair": graph_of("", "k:a->b l:a->b")}
+SHAPE_CONDITIONS = {
+    **{"limit of " + n: limit_condition(s) for n, s in SHAPES.items()},
+    **{"colimit of " + n: colimit_condition(s) for n, s in SHAPES.items()}}
 
 
 class TestChosenPushout:
@@ -91,6 +103,17 @@ class TestSemantics:
             for h in targets:
                 for c in enumerate_morphisms(cond.context, h):
                     assert shift_equivalence_oracle(c, cond, samples), (name, h)
+
+    @pytest.mark.parametrize("name", ["phi%d" % i for i in range(1, 9)]
+                             + sorted(SHAPE_CONDITIONS))
+    @settings(max_examples=25, deadline=None)
+    @given(h=small_graphs(max_nodes=3, max_edges=3), data=st.data())
+    def test_shift_property_along_random_anchors(self, fx, name, h, data):
+        cond = {**fx.conditions, **SHAPE_CONDITIONS}[name]
+        anchors = enumerate_morphisms(cond.context, h)
+        assume(anchors)
+        c = data.draw(st.sampled_from(anchors))
+        assert shift_equivalence_oracle(c, cond, self._samples(fx))
 
     def test_functoriality_is_semantic(self, fx):
         k1 = fx.t1.dom
