@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from typing import List, Optional
 
 from .category import initial_morphism
 from .conditions import (Constraint, EvaluationBudgetExceeded, Forall,
-                         check_constraint, violating_extensions)
+                         Verdict, check_constraint, iter_violations)
 from .deduction import (CertificationError, ConstrainedSketch, RuleShapeError,
                         conj_elim, conj_intro, modus_ponens,
                         repair_to_fixpoint, skolemize, statement_to_constraint,
@@ -76,7 +77,14 @@ def cmd_check(doc: Document, args) -> int:
     for name, decl in zip(names, decls):
         sketch = _target_sketch(doc, args, decl)
         k = decl.resolve(sketch.context)
-        verdict = check_constraint(sketch, k)
+        if isinstance(k.condition, Forall):
+            # one draw: its first violation is the counterexample
+            draws = iter_violations(k.anchor, sketch, k.condition)
+            first = next(draws, None)
+            verdict = Verdict(first is None, counterexample=first)
+            violations = () if first is None else chain((first,), draws)
+        else:
+            verdict, violations = check_constraint(sketch, k), ()
         all_hold = all_hold and verdict.holds
         report = {"constraint": name, "holds": verdict.holds,
                   "anchor": _morphism_json(k.anchor)}
@@ -92,9 +100,8 @@ def cmd_check(doc: Document, args) -> int:
             if verdict.counterexample is not None:
                 print("  counterexample %s"
                       % _morphism_table(verdict.counterexample))
-            if not verdict.holds and isinstance(k.condition, Forall):
-                for r in violating_extensions(k.anchor, sketch, k.condition):
-                    print("  violating extension %s" % _morphism_table(r))
+            for r in violations:
+                print("  violating extension %s" % _morphism_table(r))
     if args.json:
         print(json.dumps(reports, indent=2))
     return 0 if all_hold else 1

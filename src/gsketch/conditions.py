@@ -5,6 +5,11 @@ over its own context K, a shift morphism a: K -> M, and a body over M.  The
 semantics is classical and two-valued; quantifiers range over the extensions
 r: M -> G with a;r = t.  Empty conjunction is true, empty disjunction false.
 
+A condition is well formed by construction: each node checks, when built,
+that its statement or children sit over its context and, for a quantifier,
+that the shift starts there and the body sits over the shift's codomain.  A
+mismatch raises :class:`IllFormedConditionError`, so no use re-checks a tree.
+
 Every node speaks one traversal protocol.  ``subconditions()`` returns the
 direct children in a fixed order: ``()`` for the leaves ``Stmt``, ``Top`` and
 ``Bottom``, ``children`` for the junctions ``And``/``Or``, ``(child,)`` for
@@ -12,9 +17,9 @@ direct children in a fixed order: ``()`` for the leaves ``Stmt``, ``Top`` and
 ``rebuild(context, subs)`` returns the same kind of node over ``context``
 with ``subs`` in place of the children; a quantifier keeps its shift and a
 statement leaf its statement.  Walkers that treat the connectives uniformly
-(well-formedness, translation, unfolding, printing) recurse only through
-these two methods and special-case statements and quantifiers alone; the
-evaluator has one case per node family (``Junction``, ``Quantifier``).
+(translation, unfolding, printing) recurse only through these two methods
+and special-case statements and quantifiers alone; the evaluator has one
+case per node family (``Junction``, ``Quantifier``).
 """
 from __future__ import annotations
 
@@ -33,13 +38,17 @@ class EvaluationBudgetExceeded(RuntimeError):
 
 
 class IllFormedConditionError(ValueError):
-    pass
+    """A condition node whose parts sit over contexts other than its own."""
 
 
 @dataclass(frozen=True)
 class Condition:
-    """Base class; every condition node knows its context graph."""
+    """Base class; every condition node knows its context graph, and a node
+    with parts checks their contexts, identity first, in ``__post_init__``."""
     context: Graph
+
+    def __post_init__(self):
+        pass
 
     def subconditions(self) -> Tuple["Condition", ...]:
         """The direct subconditions, in a fixed order; leaves have none."""
@@ -54,6 +63,11 @@ class Condition:
 @dataclass(frozen=True)
 class Stmt(Condition):
     statement: Statement
+
+    def __post_init__(self):
+        bound = self.statement.context
+        if bound is not self.context and bound != self.context:
+            raise IllFormedConditionError("statement bound outside its context")
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,12 @@ class Bottom(Condition):
 class Junction(Condition):
     """Base class of the n-ary connectives."""
     children: Tuple[Condition, ...]
+
+    def __post_init__(self):
+        context = self.context
+        for child in self.children:
+            if child.context is not context and child.context != context:
+                raise IllFormedConditionError("child context differs from parent")
 
     def subconditions(self):
         return self.children
@@ -90,6 +110,11 @@ class Or(Junction):
 class Not(Condition):
     child: Condition
 
+    def __post_init__(self):
+        inner = self.child.context
+        if inner is not self.context and inner != self.context:
+            raise IllFormedConditionError("child context differs from parent")
+
     def subconditions(self):
         return (self.child,)
 
@@ -104,6 +129,15 @@ class Quantifier(Condition):
     guard: Condition
     shift: GraphMorphism  # K -> M
     body: Condition
+
+    def __post_init__(self):
+        context, shift = self.context, self.shift
+        if shift.dom is not context and shift.dom != context:
+            raise IllFormedConditionError("shift domain differs from context")
+        if self.guard.context is not context and self.guard.context != context:
+            raise IllFormedConditionError("guard context differs from context")
+        if self.body.context is not shift.cod and self.body.context != shift.cod:
+            raise IllFormedConditionError("body not over the shift codomain")
 
     def subconditions(self):
         return (self.guard, self.body)
@@ -136,8 +170,6 @@ def statements_conj(context: Graph, statements) -> Condition:
 
 def implication(lhs: Condition, rhs: Condition) -> Condition:
     """Propositional implication: the degenerate guarded quantification at id."""
-    if lhs.context != rhs.context:
-        raise MismatchError("implication needs both sides over the same context")
     return Exists(lhs.context, lhs, identity(lhs.context), rhs)
 
 
@@ -150,35 +182,13 @@ def unguarded_forall(shift: GraphMorphism, body: Condition) -> Condition:
 
 
 def well_formed(c: Condition) -> list:
-    """Context-discipline violations throughout the tree; empty iff well formed.
-
-    Paths index into ``subconditions()``: ``root[1][0]`` is the first
-    subcondition of the second subcondition of the root.
-    """
-    violations = []
-    _walk(c, "root", violations)
-    return violations
-
-
-def _walk(node, path, violations):
-    """Append the violations of ``node``, found at ``path``, and of its
-    subconditions to ``violations``."""
-    if isinstance(node, Stmt):
-        if node.statement.context != node.context:
-            violations.append("%s: statement bound outside its context" % path)
-        return
-    subs = node.subconditions()
-    expected = [(node.context, "parent")] * len(subs)
-    if isinstance(node, Quantifier):
-        if node.shift.dom != node.context:
-            violations.append("%s: shift domain differs from context" % path)
-        expected[1] = (node.shift.cod, "shift codomain")
-    for i, sub in enumerate(subs):
-        sub_path = "%s[%d]" % (path, i)
-        context, name = expected[i]
-        if sub.context != context:
-            violations.append("%s: context differs from %s" % (sub_path, name))
-        _walk(sub, sub_path, violations)
+    """The context mismatches of the node ``c``: the check its construction
+    ran, so ``[]`` for every node built normally."""
+    try:
+        c.__post_init__()
+    except IllFormedConditionError as exc:
+        return [str(exc)]
+    return []
 
 
 @dataclass(frozen=True)
@@ -218,22 +228,16 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def satisfies(t: GraphMorphism, g: Sketch, c: Condition, *,
-              budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Evaluate t |= c relative to the sketch g."""
+              budget: Optional[int] = None) -> Verdict:
+    """Evaluate t |= c relative to the sketch g within ``budget`` steps;
+    ``DEFAULT_BUDGET`` as it reads at the call when none is given."""
     _validate(t, g, c)
-    return _eval(t, g, c, _Budget(budget))
+    return _eval(t, g, c, _Budget(DEFAULT_BUDGET if budget is None else budget))
 
 
 def _validate(t, g, c):
     if t.dom != c.context or t.cod != g.context:
         raise MismatchError("anchor endpoints differ from condition/sketch contexts")
-    _check_well_formed(c)
-
-
-def _check_well_formed(c):
-    problems = well_formed(c)
-    if problems:
-        raise IllFormedConditionError("; ".join(problems))
 
 
 def _eval(t, g, c, budget) -> Verdict:
@@ -277,10 +281,10 @@ def iter_violations(t: GraphMorphism, g: Sketch,
                     c: Forall) -> Iterator[GraphMorphism]:
     """The counterexample extensions r: M -> G, a;r = t, of a universal
     condition, drawn one at a time in canonical order; none if the guard
-    fails at t.  The shape, the endpoints and well-formedness are checked
-    at once, before the first draw; the guard and every extension drawn
-    are evaluated under one step budget.  Extensions past the last one
-    drawn are never searched for."""
+    fails at t.  The shape and the endpoints are checked at once, before
+    the first draw; the guard and every extension drawn are evaluated under
+    one step budget.  Extensions past the last one drawn are never searched
+    for."""
     if not isinstance(c, Forall):
         raise TypeError("expected a universally quantified condition")
     _validate(t, g, c)
@@ -288,8 +292,7 @@ def iter_violations(t: GraphMorphism, g: Sketch,
 
 
 def _violations(t, g, c):
-    """:func:`iter_violations` without its checks, for a condition and an
-    anchor already known to fit."""
+    """The draws of :func:`iter_violations`, after its checks."""
     budget = _Budget(DEFAULT_BUDGET)
     if not _eval(t, g, c.guard, budget).holds:
         return

@@ -11,9 +11,8 @@ from typing import Iterable
 
 from .category import initial_morphism
 from .conditions import (And, Condition, Constraint, Exists, Forall, Stmt,
-                         Top, _check_well_formed, _violations,
-                         check_constraint, conj, iter_violations, satisfies,
-                         statements_conj, uc, unguarded_exists)
+                         Top, check_constraint, conj, iter_violations,
+                         satisfies, statements_conj, uc, unguarded_exists)
 from .graphs import GraphMorphism, MismatchError, compose, identity
 from .sketches import (Sketch, SketchMorphism, Statement, sketch_pushout,
                        translate_index, unchecked)
@@ -148,9 +147,8 @@ def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
     """Repeatedly apply the first matching rule (rule order, then canonical
     match order), one application per iteration.  Only that first match is
     searched for: a rule's matches are drawn until one is found, and later
-    rules are not tried once one has matched.  Each rule's universal
-    constraint is checked once, before the first draw, and a drawn match is
-    applied without being evaluated again.
+    rules are not tried once one has matched.  A drawn match is applied
+    without being evaluated again.
 
     Returns ``(final sketch, steps, exhausted)``: ``steps`` is the list of
     :class:`RepairStep` in firing order, and ``exhausted`` is True when the
@@ -159,14 +157,12 @@ def repair_to_fixpoint(rules, g: Sketch, max_steps: int):
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     constrained = [(rule, rule.universal_constraint) for rule in rules]
-    for _, c in constrained:
-        _check_well_formed(c)
     steps = []
     current = g
     while True:
         t = initial_morphism(current.context)
         fired = next(((rule, match) for rule, c in constrained
-                      if (match := next(_violations(t, current, c), None))
+                      if (match := next(iter_violations(t, current, c), None))
                       is not None), None)
         if fired is None or len(steps) == max_steps:
             return current, steps, fired is not None

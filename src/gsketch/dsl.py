@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .category import initial_morphism
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          Junction, Not, Or, Quantifier, Stmt, Top, implication,
-                         stmt, well_formed)
+                         stmt)
 from .deduction import Rule
 from .graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
                      identity, inclusion, morphism_of, validate_graph)
@@ -396,11 +396,7 @@ class Parser:
         self.expect("over")
         context = self.graph_ref()
         self.expect("=")
-        cond = self.parse_expr(context)
-        problems = well_formed(cond)
-        if problems:
-            raise ValidationError("condition %r: %s" % (name, "; ".join(problems)))
-        self._declare("condition", name, cond)
+        self._declare("condition", name, self.parse_expr(context))
 
     def parse_shift(self, context: Graph) -> GraphMorphism:
         if self.accept("extend"):

@@ -154,7 +154,7 @@ class Sketch:
     the index.
     """
 
-    __slots__ = ("context", "index", "_hash")
+    __slots__ = ("context", "index")
 
     def __init__(self, context: Graph, statements: Iterable[Statement] = ()):
         index = {}
@@ -199,12 +199,7 @@ class Sketch:
             and self.index == other.index)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.context, frozenset(self.index.items())))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.context, frozenset(self.index.items())))
 
     def sorted_statements(self) -> list:
         return sorted(self.statements, key=statement_key)

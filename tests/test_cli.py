@@ -81,16 +81,38 @@ class TestCheck:
             "error: line 1, column 829: condition nested more than 200 deep\n")
 
     def test_exhausted_budget_exits_four(self, corpus, capsys, monkeypatch):
-        def exhausted(*args, **kwargs):
-            raise conditions.EvaluationBudgetExceeded(
-                "evaluation step budget exhausted")
-
-        monkeypatch.setattr(cli, "check_constraint", exhausted)
+        # the budget is read when the check runs, so it stops before any
+        # verdict is printed
+        monkeypatch.setattr(conditions, "DEFAULT_BUDGET", 3)
         code = main(["check", *corpus, "--constraint", "k_phi3",
                      "--sketch", "G"])
         assert code == 4
-        assert capsys.readouterr().err == (
-            "error: evaluation step budget exhausted\n")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: evaluation step budget exhausted\n"
+
+    def test_universal_constraint_is_drawn_once(self, corpus, capsys,
+                                                monkeypatch):
+        draws = []
+
+        def counting(t, g, c):
+            draws.append(c)
+            return conditions.iter_violations(t, g, c)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a universal constraint was evaluated twice")
+
+        monkeypatch.setattr(cli, "iter_violations", counting)
+        monkeypatch.setattr(cli, "check_constraint", unused)
+        code = main(["check", *corpus, "--constraint", "k_phi3",
+                     "--sketch", "G"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(draws) == 1
+        assert lines[0] == "k_phi3: FAILS"
+        violating = [line for line in lines if "violating extension" in line]
+        assert len(violating) == 2
+        assert violating[0].split("extension")[1] == \
+            lines[1].split("counterexample")[1]
 
     def test_missing_file_exits_two(self, capsys):
         code = main(["check", "/nonexistent.sketch", "--all"])

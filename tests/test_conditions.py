@@ -1,4 +1,5 @@
 import gc
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,50 +21,88 @@ from gsketch.sketches import (Sketch, SketchMorphism, Statement,
 from gsketch.oracles import conditions_equal_modulo_renaming
 
 
+def unchecked_node(good, **bad):
+    """A node of ``good``'s kind with the fields ``bad`` in place of its
+    own, built without the construction check."""
+    node = object.__new__(type(good))
+    for f in fields(good):
+        object.__setattr__(node, f.name, bad.get(f.name, getattr(good, f.name)))
+    return node
+
+
+def assert_rejected(good, message, **bad):
+    """``good`` is well formed, and each way of building it with ``bad``
+    fields raises at construction: the constructor, ``rebuild`` and
+    ``dataclasses.replace``."""
+    assert well_formed(good) == []
+    raw = unchecked_node(good, **bad)
+    assert well_formed(raw) == [message]
+    builds = [lambda: type(good)(*(getattr(raw, f.name) for f in fields(raw))),
+              lambda: good.rebuild(raw.context, raw.subconditions()),
+              lambda: replace(good, **bad)]
+    for build in builds:
+        with pytest.raises(IllFormedConditionError, match=message):
+            build()
+
+
 class TestWellFormed:
     def test_top_anywhere(self, fx):
         assert well_formed(Top(fx.graph_g)) == []
 
     def test_stmt_in_wrong_context(self, fx):
-        bad = Stmt(graph_of("x"), fx.statements["psi4"])
-        assert len(well_formed(bad)) == 1
+        assert_rejected(stmt(fx.statements["psi4"]),
+                        "statement bound outside its context",
+                        context=graph_of("x"))
+
+    @pytest.mark.parametrize("kind", [And, Or])
+    def test_junction_child_in_wrong_context(self, fx, kind):
+        g = fx.graph_g
+        assert_rejected(kind(g, (stmt(fx.statements["psi4"]), Top(g))),
+                        "child context differs from parent",
+                        children=(stmt(fx.statements["psi4"]),
+                                  Top(graph_of("x"))))
+
+    def test_negated_child_in_wrong_context(self, fx):
+        assert_rejected(Not(fx.graph_g, stmt(fx.statements["psi4"])),
+                        "child context differs from parent",
+                        child=Top(graph_of("x")))
 
     def test_phi2_well_formed(self, fx):
         assert well_formed(fx.conditions["phi2"]) == []
         assert is_closed(fx.conditions["phi2"])
 
     def test_shift_domain_mismatch(self, fx):
-        bad = Exists(graph_of("x"), Top(graph_of("x")),
-                     identity(fx.graph_g), Top(fx.graph_g))
-        assert any("shift domain" in v for v in well_formed(bad))
+        g, x = fx.graph_g, graph_of("x")
+        # rebuild keeps the shift, so it meets the mismatch through the
+        # new context
+        assert_rejected(Exists(g, Top(g), identity(g), Top(g)),
+                        "shift domain differs from context",
+                        context=x, guard=Top(x))
 
-    def test_satisfies_rejects_ill_formed(self, fx):
-        bad = Stmt(graph_of("x"), fx.statements["psi4"])
-        with pytest.raises(IllFormedConditionError):
-            satisfies(morphism_of(graph_of("x"), fx.graph_g,
-                                  nodes={"x": "1"}), fx.sketch_g, bad)
+    def test_guard_in_wrong_context(self, fx):
+        g = fx.graph_g
+        assert_rejected(Forall(g, Top(g), identity(g), Top(g)),
+                        "guard context differs from context",
+                        guard=Top(graph_of("x")))
+
+    def test_body_off_the_shift_codomain(self, fx):
+        phi1 = fx.conditions["phi1"]
+        assert_rejected(phi1, "body not over the shift codomain",
+                        body=Top(phi1.context))
 
     def test_leaves_no_reference_cycle(self, fx):
-        # the walk's state is passed down the recursion, so a check, and
-        # the rule matching that runs one, leave nothing for the collector
+        # neither a rejected construction nor the rule matching leaves
+        # anything for the collector
         r = rule_from_condition(fx.conditions["phi3"])
-        bad = Stmt(graph_of("x"), fx.statements["psi4"])
         gc.collect()
         gc.disable()
         try:
-            assert len(well_formed(bad)) == 1
+            with pytest.raises(IllFormedConditionError):
+                Stmt(graph_of("x"), fx.statements["psi4"])
             assert len(find_matches(r, fx.sketch_g)) == 2
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    def test_violating_extensions_rejects_ill_formed(self, fx):
-        x = graph_of("x")
-        bad = unguarded_forall(initial_morphism(x),
-                               Stmt(x, fx.statements["psi4"]))
-        with pytest.raises(IllFormedConditionError):
-            violating_extensions(initial_morphism(fx.graph_g), fx.sketch_g,
-                                 bad)
 
 
 class TestSatisfactionClauses:
@@ -145,6 +184,10 @@ class TestExampleFacts:
 
 
 class TestImplication:
+    def test_sides_over_different_contexts(self, fx):
+        with pytest.raises(IllFormedConditionError):
+            implication(Top(graph_of("x")), Top(fx.graph_g))
+
     def test_false_premise(self, fx):
         empty = initial_morphism(fx.graph_g).dom
         c = implication(Bottom(empty), Bottom(empty))
@@ -371,19 +414,3 @@ class TestTraversalProtocol:
         twin = Forall(phi1.context, phi1.guard, phi1.shift, phi1.body)
         assert conditions_equal_modulo_renaming(twin, twin)
         assert not conditions_equal_modulo_renaming(phi1, twin)
-
-    def test_nested_violation_path(self, fx):
-        x = graph_of("x")
-        bad = Stmt(x, fx.statements["psi4"])
-        tree = And(x, (Top(x), Forall(x, Top(x), identity(x), Not(x, bad))))
-        assert well_formed(tree) == [
-            "root[1][1][0]: statement bound outside its context"]
-
-    def test_every_violation_is_reported(self, fx):
-        x, g = graph_of("x"), fx.graph_g
-        tree = And(x, (Exists(x, Top(g), identity(g), Not(x, Top(g))),))
-        assert well_formed(tree) == [
-            "root[0]: shift domain differs from context",
-            "root[0][0]: context differs from parent",
-            "root[0][1]: context differs from shift codomain",
-            "root[0][1][0]: context differs from parent"]

@@ -181,17 +181,29 @@ class TestMatchesDifferential:
             for r in rules:
                 assert find_matches(r, g) == reference_matches(r, g)
 
-    def test_one_well_formed_check_per_call(self, fx, monkeypatch):
-        checked = []
+    def test_evaluation_checks_no_condition(self, fx, monkeypatch):
+        # conditions are well formed when built, so evaluation, matching
+        # and repair neither check nor build one
+        rules = [rule3(fx), rule6(fx)]
+        for r in rules:
+            r.universal_constraint
+        g = duplicate_composite_chain(8)
+        calls = []
 
         def counting(c):
-            checked.append(c)
+            calls.append(c)
             return well_formed(c)
 
         monkeypatch.setattr(conditions, "well_formed", counting)
-        r = rule3(fx)
-        assert len(find_matches(r, fx.sketch_g)) == 2
-        assert checked == [uc(r)]
+        for kind in (conditions.Stmt, conditions.Junction, conditions.Not,
+                     conditions.Quantifier, conditions.Condition):
+            monkeypatch.setattr(kind, "__post_init__", counting)
+        t = initial_morphism(g.context)
+        assert not satisfies(t, g, rules[0].universal_constraint).holds
+        assert len(find_matches(rules[0], g)) == 14
+        _, trace, exhausted = repair_to_fixpoint(rules, g, 40)
+        assert len(trace) > 8 and not exhausted
+        assert calls == []
 
 
 def eager_repair(rules, g, max_steps):
@@ -291,8 +303,7 @@ class TestFirstMatch:
             assert repair_outcome(rules, g, max_steps) == \
                 eager_repair(rules, g, max_steps)
 
-    def test_repair_translates_nothing_and_checks_each_rule_once(
-            self, fx, monkeypatch, statements_built):
+    def test_repair_translates_nothing(self, fx, statements_built):
         # rules, statement leaves and pushouts work on statement keys, and
         # a drawn match is applied without being evaluated again
         rules = [rule3(fx), rule6(fx)]
@@ -302,17 +313,9 @@ class TestFirstMatch:
         start = duplicate_composite_chain(8)
         want = eager_repair(rules, start, 40)
         del statements_built[:]
-        checked = []
-
-        def counting_check(c):
-            checked.append(c)
-            return well_formed(c)
-
-        monkeypatch.setattr(conditions, "well_formed", counting_check)
         got = repair_outcome(rules, start, 40)
         assert got == want and len(got[1]) > 8 and not got[2]
         assert statements_built == []
-        assert checked == [r.universal_constraint for r in rules]
 
     def test_checks_come_before_the_first_draw(self, fx):
         t = initial_morphism(fx.graph_g)
