@@ -3,8 +3,7 @@
 from .graphs import (Graph, GraphMorphism, MismatchError, NotInvertibleError,
                      compose, enumerate_extensions, enumerate_morphisms,
                      graph_of, identity, invert, is_isomorphism,
-                     is_monomorphism, iter_extensions, morphism_of,
-                     validate_graph)
+                     is_monomorphism, iter_extensions, morphism_of)
 from .category import (PullbackResult, PushoutResult, initial_graph,
                        initial_morphism, pullback, pushout)
 from .sketches import (Footprint, MultiSketch, MultiSketchMorphism,

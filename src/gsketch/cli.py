@@ -215,8 +215,7 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
 
     for lineno, raw in enumerate(lines, start=1):
         try:
-            # leading newlines put parser locations on the script's line
-            p = Parser("\n" * (lineno - 1) + raw, doc)
+            p = Parser(raw, doc, lineno)
             if p.peek().kind == "eof":
                 continue
             op = p.expect_name()

@@ -2,6 +2,9 @@
 
 Declarations (graphs, footprints, morphisms, sketches, conditions,
 constraints, rules) are named and cross-reference each other by name.
+Every rejected input is reported with its line and column: syntax errors,
+unknown and repeated names, and each construction whose value cannot be
+built, located at the token that opened it (:meth:`Parser.building`).
 ``parse(print(doc))`` is structurally the identity on a document that
 declares every graph and morphism it references.  The printer declares an
 inline graph body as ``graph_N``, so any other document round-trips exactly
@@ -10,6 +13,7 @@ after one print/parse pass.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -19,7 +23,7 @@ from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          stmt)
 from .deduction import Rule
 from .graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
-                     identity, inclusion, morphism_of, validate_graph)
+                     identity, inclusion, morphism_of)
 from .sketches import Footprint, PredicateSymbol, Sketch, Statement
 
 
@@ -44,12 +48,22 @@ class ValidationError(ValueError):
 class ConstraintDecl:
     """A named constraint: a condition plus an anchor morphism or ``initial``.
 
-    An ``initial`` anchor is resolved against a target sketch at check time.
+    An ``initial`` anchor is resolved against a target sketch at check time,
+    so it needs a closed condition; any other anchor starts at the
+    condition's context.
     """
     condition_name: str
     condition: Condition
     anchor_name: Optional[str]          # None means "initial"
     anchor: Optional[GraphMorphism]
+
+    def __post_init__(self):
+        if self.anchor is None:
+            if not self.condition.context.is_empty():
+                raise MismatchError("an initial anchor needs a closed condition")
+        elif self.anchor.dom != self.condition.context:
+            raise MismatchError(
+                "anchor does not start at the condition context")
 
     def resolve(self, target_context: Graph) -> Constraint:
         if self.anchor is not None:
@@ -129,9 +143,10 @@ _LEXEME = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str, line: int = 1) -> List[_Token]:
+    """The tokens of ``text``, whose first line is line ``line``."""
     tokens = []
-    line, line_start = 1, 0
+    line_start = 0
     for m in _LEXEME.finditer(text):
         kind = m.lastgroup
         if kind == "newline":
@@ -156,10 +171,12 @@ class Parser:
     """Recursive-descent parser over the DSL tokens; one method per construct.
 
     Declarations are entered into ``doc``, which also resolves names.
+    ``line`` is the line number of the first line of ``text``.
     """
 
-    def __init__(self, text: str, doc: Optional[Document] = None):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, doc: Optional[Document] = None,
+                 line: int = 1):
+        self.tokens = _tokenize(text, line)
         self.pos = 0
         self.depth = 0  # parse_expr calls open at the current token
         self.doc = doc if doc is not None else Document()
@@ -210,6 +227,20 @@ class Parser:
         except ResolutionError as exc:
             raise ResolutionError(_located(tok, str(exc))) from None
 
+    @contextmanager
+    def building(self, tok: _Token, kind: Optional[str] = None):
+        """Report a ValueError raised in the block, unless it is located
+        already, as a ValidationError located at ``tok``, which opened the
+        construction, and, given ``kind``, prefixed with the kind and the
+        token's name."""
+        try:
+            yield
+        except (ParseError, ResolutionError, ValidationError):
+            raise
+        except ValueError as exc:
+            what = "" if kind is None else "%s %r: " % (kind, tok.value)
+            raise ValidationError(_located(tok, what + str(exc))) from exc
+
     def section(self) -> str:
         """Read the ``nodes`` or ``edges`` keyword that opens a body section."""
         tok = self.peek()
@@ -220,23 +251,27 @@ class Parser:
     # declarations ---------------------------------------------------------
 
     def parse_document(self) -> Document:
+        """Parse each ``KIND NAME ...`` declaration with ``parse_KIND_decl``,
+        which reads what follows the name and returns the declared value."""
         while self.peek().kind != "eof":
-            tok = self.peek()
+            kind = self.peek().value
             # the declaration keywords are exactly the kinds of declaration
-            if tok.kind != "ident" or tok.value not in _TABLES:
+            if self.peek().kind != "ident" or kind not in _TABLES:
                 self.unexpected("a declaration keyword")
-            getattr(self, "parse_%s_decl" % tok.value)()
+            self.next()
+            tok = self.peek()
+            name = self.expect_name()
+            with self.building(tok, kind):
+                value = getattr(self, "parse_%s_decl" % kind)()
+            table = getattr(self.doc, _TABLES[kind])
+            if name in table:
+                raise ResolutionError(
+                    _located(tok, "duplicate %s name %r" % (kind, name)))
+            table[name] = value
         return self.doc
 
-    def _declare(self, kind: str, name: str, value):
-        table = getattr(self.doc, _TABLES[kind])
-        if name in table:
-            raise ResolutionError("duplicate %s name %r" % (kind, name))
-        table[name] = value
-
-    def parse_graph_decl(self):
-        self.expect("graph")
-        self._declare("graph", self.expect_name(), self.parse_graph_body())
+    def parse_graph_decl(self) -> Graph:
+        return self.parse_graph_body()
 
     def parse_graph_body(self, base: Graph = EMPTY_GRAPH) -> Graph:
         """Parse ``{ nodes ...; edges ... }``; returns ``base`` plus the
@@ -281,20 +316,15 @@ class Parser:
             if tok.value not in nodes:
                 raise ResolutionError(_located(
                     tok, "edge endpoint %r is not a declared node" % tok.value))
-        g = Graph(nodes, src.keys(), src, tgt)
-        problems = validate_graph(g)
-        if problems:
-            raise ValidationError(_located(brace, "; ".join(problems)))
-        return g
+        with self.building(brace):
+            return Graph(nodes, src.keys(), src, tgt)
 
     def graph_ref(self) -> Graph:
         if self.at("{"):
             return self.parse_graph_body()
         return self.resolve("graph")
 
-    def parse_footprint_decl(self):
-        self.expect("footprint")
-        name = self.expect_name()
+    def parse_footprint_decl(self) -> Footprint:
         self.expect("{")
         preds = {}
         while not self.at("}"):
@@ -308,7 +338,7 @@ class Parser:
             preds[pname] = PredicateSymbol(pname, self.graph_ref())
             self.accept(";")
         self.expect("}")
-        self._declare("footprint", name, Footprint(preds.values()))
+        return Footprint(preds.values())
 
     def parse_pairs(self) -> List[Tuple[_Token, str]]:
         """Parse ``x -> y, ...`` up to the first token that is not a name;
@@ -341,9 +371,7 @@ class Parser:
                     % (what, tok.value)))
         return nodes, edges
 
-    def parse_morphism_decl(self):
-        self.expect("morphism")
-        name = self.expect_name()
+    def parse_morphism_decl(self) -> GraphMorphism:
         self.expect(":")
         dom = self.graph_ref()
         self.expect("->")
@@ -352,31 +380,23 @@ class Parser:
         sections = {"nodes": {}, "edges": {}}
         while not self.at("}"):
             sections[self.section()].update(
-                (tok.value, b) for tok, b in self.parse_pairs())
+                (a.value, b) for a, b in self.parse_pairs())
             self.accept(";")
         self.expect("}")
-        try:
-            m = morphism_of(dom, cod, sections["nodes"], sections["edges"])
-        except MismatchError as exc:
-            raise ValidationError("morphism %r: %s" % (name, exc)) from exc
-        self._declare("morphism", name, m)
+        return morphism_of(dom, cod, sections["nodes"], sections["edges"])
 
     def parse_statement(self, context: Graph) -> Statement:
         """Parse ``PRED via { x -> y, ... }`` into a statement over context."""
+        tok = self.peek()
         pred = self.resolve("predicate")
         self.expect("via")
         nodes, edges = self._split_assignments(self.parse_assignments(),
                                                pred.arity,
                                                "statement %r" % pred.name)
-        try:
-            binding = morphism_of(pred.arity, context, nodes, edges)
-        except MismatchError as exc:
-            raise ValidationError("statement %r: %s" % (pred.name, exc)) from exc
-        return Statement(pred, binding)
+        with self.building(tok, "statement"):
+            return Statement(pred, morphism_of(pred.arity, context, nodes, edges))
 
-    def parse_sketch_decl(self):
-        self.expect("sketch")
-        name = self.expect_name()
+    def parse_sketch_decl(self) -> Sketch:
         self.expect("over")
         self.resolve("footprint")
         self.expect("on")
@@ -388,24 +408,22 @@ class Parser:
             statements.append(self.parse_statement(context))
             self.accept(";")
         self.expect("}")
-        self._declare("sketch", name, Sketch(context, statements))
+        return Sketch(context, statements)
 
-    def parse_condition_decl(self):
-        self.expect("condition")
-        name = self.expect_name()
+    def parse_condition_decl(self) -> Condition:
         self.expect("over")
         context = self.graph_ref()
         self.expect("=")
-        self._declare("condition", name, self.parse_expr(context))
+        return self.parse_expr(context)
 
     def parse_shift(self, context: Graph) -> GraphMorphism:
         if self.accept("extend"):
             return inclusion(context, self.parse_graph_body(context))
-        name = self.peek().value
+        tok = self.peek()
         m = self.resolve("morphism")
-        if m.dom != context:
-            raise ValidationError(
-                "morphism %r does not start at the current context" % name)
+        with self.building(tok, "morphism"):
+            if m.dom != context:
+                raise MismatchError("does not start at the current context")
         return m
 
     def parse_expr(self, context: Graph) -> Condition:
@@ -465,34 +483,20 @@ class Parser:
             return _CONNECTIVES[keyword](context, guard, shift, body)
         self.unexpected("a condition expression")
 
-    def parse_constraint_decl(self):
-        self.expect("constraint")
-        name = self.expect_name()
+    def parse_constraint_decl(self) -> ConstraintDecl:
         self.expect("=")
         self.expect("(")
         cond_name = self.peek().value
         cond = self.resolve("condition")
         self.expect(",")
-        if self.accept("initial"):
-            if not cond.context.is_empty():
-                raise ValidationError(
-                    "constraint %r: an initial anchor needs a closed condition"
-                    % name)
-            anchor_name, anchor = None, None
-        else:
+        anchor_name, anchor = None, None
+        if not self.accept("initial"):
             anchor_name = self.peek().value
             anchor = self.resolve("morphism")
-            if anchor.dom != cond.context:
-                raise ValidationError(
-                    "constraint %r: anchor does not start at the condition context"
-                    % name)
         self.expect(")")
-        self._declare("constraint", name,
-                      ConstraintDecl(cond_name, cond, anchor_name, anchor))
+        return ConstraintDecl(cond_name, cond, anchor_name, anchor)
 
-    def parse_rule_decl(self):
-        self.expect("rule")
-        name = self.expect_name()
+    def parse_rule_decl(self) -> Rule:
         self.expect("=")
         self.expect("morphism")
         m = self.resolve("morphism")
@@ -500,11 +504,7 @@ class Parser:
         lhs = self.resolve("sketch")
         self.expect("to")
         rhs = self.resolve("sketch")
-        try:
-            rule = Rule(lhs, rhs, m)
-        except MismatchError as exc:
-            raise ValidationError("rule %r: %s" % (name, exc)) from exc
-        self._declare("rule", name, rule)
+        return Rule(lhs, rhs, m)
 
 
 def parse(text: str, doc: Optional[Document] = None) -> Document:

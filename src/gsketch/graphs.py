@@ -34,16 +34,28 @@ class Graph:
     and ``tgt`` are read-only views of private copies.  The index that
     :func:`search` reads when the graph is a codomain is built on first use
     and kept in a private slot that equality, hashing and ``repr`` ignore.
+
+    Every value is a graph: ``src`` and ``tgt`` are keyed by exactly the
+    edges, every endpoint is a node, and no name is both a node and an edge.
+    The constructor raises ``ValueError`` otherwise, naming the least
+    offending element.
     """
 
     __slots__ = ("nodes", "edges", "src", "tgt", "_index")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[str],
                  src: Mapping[str, str], tgt: Mapping[str, str]):
-        object.__setattr__(self, "nodes", frozenset(nodes))
-        object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "src", MappingProxyType(dict(src)))
-        object.__setattr__(self, "tgt", MappingProxyType(dict(tgt)))
+        nodes, edges = frozenset(nodes), frozenset(edges)
+        src, tgt = dict(src), dict(tgt)
+        if not (src.keys() == edges == tgt.keys()
+                and nodes.issuperset(src.values())
+                and nodes.issuperset(tgt.values())
+                and nodes.isdisjoint(edges)):
+            raise ValueError(_first_problem(nodes, edges, src, tgt))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "src", MappingProxyType(src))
+        object.__setattr__(self, "tgt", MappingProxyType(tgt))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -86,6 +98,23 @@ class Graph:
             return index
 
 
+def _first_problem(nodes: frozenset, edges: frozenset, src: dict,
+                   tgt: dict) -> str:
+    """Why these fields are not a graph, naming the least offending element
+    of the first invariant, in the order :class:`Graph` lists them, that
+    fails."""
+    for ends, side in ((src, "source"), (tgt, "target")):
+        name = min(edges ^ ends.keys(), default=None)
+        if name is not None:
+            return ("edge %r has no %s" % (name, side) if name in edges else
+                    "the %s map names %r, which is not an edge" % (side, name))
+    for e in sorted(edges):
+        for ends, side in ((src, "source"), (tgt, "target")):
+            if ends[e] not in nodes:
+                return "edge %r has dangling %s %r" % (e, side, ends[e])
+    return "name %r is both a node and an edge" % min(nodes & edges)
+
+
 EMPTY_GRAPH = Graph((), (), {}, {})
 
 
@@ -106,34 +135,14 @@ def graph_of(nodes: str = "", edges: str = "") -> Graph:
     return Graph(node_set, edge_set, src, tgt)
 
 
-def validate_graph(g: Graph) -> list:
-    """Return a list of invariant violations; empty iff the graph is valid."""
-    violations = []
-    for e in sorted(g.edges):
-        if e not in g.src:
-            violations.append("edge %r has no source" % e)
-        elif g.src[e] not in g.nodes:
-            violations.append("edge %r has dangling source %r" % (e, g.src[e]))
-        if e not in g.tgt:
-            violations.append("edge %r has no target" % e)
-        elif g.tgt[e] not in g.nodes:
-            violations.append("edge %r has dangling target %r" % (e, g.tgt[e]))
-    for name in sorted(g.src.keys() | g.tgt.keys()):
-        if name not in g.edges:
-            violations.append("source/target map mentions unknown edge %r" % name)
-    for name in sorted(g.nodes & g.edges):
-        violations.append("name %r used for both a node and an edge" % name)
-    return violations
-
-
 class GraphMorphism:
     """A graph homomorphism: total node and edge maps respecting incidence.
 
     ``node_map`` and ``edge_map`` are read-only views of private copies.
-    Equality compares the maps; the hash is computed on first use.
+    Equality compares the maps and the endpoints, and so does the hash.
     """
 
-    __slots__ = ("dom", "cod", "node_map", "edge_map", "_hash")
+    __slots__ = ("dom", "cod", "node_map", "edge_map")
 
     def __init__(self, dom: Graph, cod: Graph,
                  node_map: Mapping[str, str], edge_map: Mapping[str, str]):
@@ -181,13 +190,8 @@ class GraphMorphism:
                               and self.cod == other.cod))
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.dom, self.cod, frozenset(self.node_map.items()),
-                      frozenset(self.edge_map.items())))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.dom, self.cod, frozenset(self.node_map.items()),
+                     frozenset(self.edge_map.items())))
 
     def __repr__(self):
         entries = ["%s->%s" % kv for kv in sorted(self.node_map.items())]

@@ -21,19 +21,13 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .category import pair_name, pullback, pushout, tagged_quotient
-from .graphs import Graph, GraphMorphism, MismatchError, validate_graph
+from .graphs import Graph, GraphMorphism, MismatchError
 
 
 @dataclass(frozen=True)
 class PredicateSymbol:
     name: str
     arity: Graph
-
-    def __post_init__(self):
-        problems = validate_graph(self.arity)
-        if problems:
-            raise ValueError("invalid arity for %r: %s"
-                             % (self.name, "; ".join(problems)))
 
     # The hash and ``order`` are built on first use and kept on the
     # instance; equality and hashing still see only the fields.

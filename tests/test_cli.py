@@ -6,11 +6,12 @@ import sys
 
 import pytest
 
-from gsketch import cli, conditions, deduction
+from gsketch import cli, conditions, deduction, dsl
 from gsketch.cli import main
-from gsketch.dsl import parse
+from gsketch.dsl import parse, parse_files
 
 from conftest import FIXTURE_DIR
+from test_dsl import REJECTED
 
 SRC_DIR = FIXTURE_DIR.parent.parent / "src"
 
@@ -113,6 +114,16 @@ class TestCheck:
         assert len(violating) == 2
         assert violating[0].split("extension")[1] == \
             lines[1].split("counterexample")[1]
+
+    @pytest.mark.parametrize("text, message", REJECTED.values(),
+                             ids=REJECTED)
+    def test_rejected_construction_exits_two(self, tmp_path, capsys, text,
+                                             message):
+        path = tmp_path / "bad.sketch"
+        path.write_text(text)
+        code = main(["check", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_missing_file_exits_two(self, capsys):
         code = main(["check", "/nonexistent.sketch", "--all"])
@@ -312,6 +323,23 @@ class TestDeduce:
         assert capsys.readouterr().err == (
             "error: line 2, column 18: statement 'monic': 'zz' is "
             "neither a node nor an edge of the domain\n")
+
+    def test_script_is_tokenized_once(self, corpus, monkeypatch):
+        # each line is tokenized on its own, numbered from its line, so a
+        # script costs its length in characters however long it is
+        doc = parse_files(corpus)
+        lines = ["# note %d" % i for i in range(200)]
+        lines += ["assume phi3 initial as unique", "elim unique WRONG t3 as x"]
+        original, handed = dsl._tokenize, []
+
+        def counting(text, *args):
+            handed.append(text)
+            return original(text, *args)
+
+        monkeypatch.setattr(dsl, "_tokenize", counting)
+        with pytest.raises(cli.InputError, match="^line 202: malformed "):
+            cli._run_deduce_script(doc, doc.sketches["Gprime"], lines)
+        assert sum(map(len, handed)) <= len("\n".join(lines))
 
     def test_inst_accepts_quoted_names(self, corpus, tmp_path, capsys):
         script = tmp_path / "script.txt"

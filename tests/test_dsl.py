@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gsketch.conditions import (And, Bottom, Exists, Forall, Not, Or, Top,
@@ -18,6 +18,44 @@ BASE = """
 graph Arrow { nodes v1 v2; edges e: v1 -> v2; }
 footprint FP { pred monic arity Arrow; }
 """
+PAIR = BASE + """graph Pair { nodes v1 v2; edges e: v1 -> v2, f: v1 -> v2; }
+morphism emb : Arrow -> Pair { edges e -> e; }
+"""
+
+# An input for each construction the parser rejects, with its message: located
+# at the brace of a graph body, the name of a declaration, the predicate of
+# a statement or the morphism of a shift.
+REJECTED = {
+    "graph": (
+        "graph G { nodes v e; edges e: v -> v; }",
+        "line 1, column 9: name 'e' is both a node and an edge"),
+    "morphism": (
+        BASE + "morphism m : Arrow -> Arrow { edges e -> zz; }",
+        "line 4, column 10: morphism 'm': edge 'e' maps to unknown edge 'zz'"),
+    "statement": (
+        BASE + "sketch S over FP on Arrow { stmt monic via { v1 -> v2 }; }",
+        "line 4, column 34: statement 'monic': isolated nodes need explicit "
+        "images: v2"),
+    "shift": (
+        PAIR + "condition c over Pair = exists (emb) . true",
+        "line 6, column 33: morphism 'emb': does not start at the current "
+        "context"),
+    "rule": (
+        PAIR + "sketch L over FP on Pair { }\n"
+               "rule bad = morphism emb from L to L",
+        "line 7, column 6: rule 'bad': morphism endpoints differ from the "
+        "sketch contexts"),
+    "initial-anchor": (
+        BASE + "condition c over Arrow = true\nconstraint k = (c, initial)",
+        "line 5, column 12: constraint 'k': an initial anchor needs a closed "
+        "condition"),
+    "anchor": (
+        BASE + "graph E { }\ncondition c over E = true\n"
+               "morphism n : Arrow -> Arrow { edges e -> e; }\n"
+               "constraint k = (c, n)",
+        "line 7, column 12: constraint 'k': anchor does not start at the "
+        "condition context"),
+}
 
 
 class TestParsing:
@@ -173,8 +211,8 @@ class TestDiagnostics:
 
     def test_duplicate_sketch_name(self):
         sketch = "sketch S over FP on Arrow { }\n"
-        with pytest.raises(ResolutionError,
-                           match="^duplicate sketch name 'S'$"):
+        with pytest.raises(ResolutionError, match="^line 5, column 8: "
+                                                  "duplicate sketch name 'S'$"):
             parse(BASE + sketch + sketch)
 
     def test_unknown_graph_reference(self):
@@ -202,13 +240,23 @@ class TestDiagnostics:
             parse(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, message", REJECTED.values(),
+                             ids=REJECTED)
+    def test_rejected_construction_is_located(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_morphism_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^line 5, column 10: "
+                           "morphism 'm': isolated nodes need explicit "
+                           "images: v2$"):
             parse(BASE + "graph Loop { nodes v; edges l: v -> v; }\n"
                          "morphism m : Arrow -> Loop { nodes v1 -> v; }")
 
     def test_initial_anchor_requires_closed_condition(self):
-        with pytest.raises(ValidationError, match="closed"):
+        with pytest.raises(ValidationError, match="^line 5, column 12: "
+                           "constraint 'k': .* closed"):
             parse(BASE + "condition c over Arrow = true\n"
                          "constraint k = (c, initial)")
 
@@ -220,8 +268,8 @@ sketch L over FP on Arrow { stmt monic via { e -> e }; }
 sketch R over FP on Pair { }
 rule bad = morphism emb from L to R
 """
-        with pytest.raises(ValidationError, match="^rule 'bad': morphism "
-                           "does not preserve statements$"):
+        with pytest.raises(ValidationError, match="^line 9, column 6: rule "
+                           "'bad': morphism does not preserve statements$"):
             parse(text)
 
     def test_rule_morphism_must_start_at_the_lhs(self):
@@ -231,8 +279,9 @@ morphism emb : Arrow -> Pair { edges e -> e; }
 sketch L over FP on Pair { }
 rule bad = morphism emb from L to L
 """
-        with pytest.raises(ValidationError, match="^rule 'bad': morphism "
-                           "endpoints differ from the sketch contexts$"):
+        with pytest.raises(ValidationError, match="^line 8, column 6: rule "
+                           "'bad': morphism endpoints differ from the sketch "
+                           "contexts$"):
             parse(text)
 
     def test_nesting_up_to_the_limit(self):
@@ -593,7 +642,11 @@ def documents(draw):
 
 
 class TestRoundTripProperty:
-    @settings(max_examples=100, deadline=None)
+    # shrinking the nested documents() draw takes minutes, so a failure is
+    # reported with the document as it was drawn
+    @settings(max_examples=100, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.target])
     @given(documents())
     def test_parse_inverts_print(self, doc):
         assert parse(print_document(doc)) == doc

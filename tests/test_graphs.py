@@ -10,7 +10,7 @@ from gsketch.graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
                             enumerate_morphisms, enumerate_morphisms_extending,
                             graph_of, identity, invert, is_isomorphism,
                             is_monomorphism, iter_extensions, morphism_of,
-                            search, validate_graph)
+                            search)
 
 from conftest import brute_force_morphisms
 
@@ -34,21 +34,51 @@ def small_graphs(draw, max_nodes=4, max_edges=5):
 
 
 class TestValidation:
+    """A graph is valid by construction: each invariant is checked by the
+    constructor, and each message names the least offending element, so it
+    does not depend on the order of set iteration."""
+
     def test_empty_graph_valid(self):
-        assert validate_graph(EMPTY_GRAPH) == []
+        assert EMPTY_GRAPH == Graph([], [], {}, {}) and repr(EMPTY_GRAPH)
 
     def test_example_graph_valid(self):
-        assert validate_graph(G) == []
+        assert G == Graph(G.nodes, G.edges, G.src, G.tgt)
+
+    @pytest.mark.parametrize("src, tgt, message", [
+        ({"b": "1"}, {"a": "1", "b": "1"}, "^edge 'a' has no source$"),
+        ({"a": "1", "b": "1"}, {"b": "1"}, "^edge 'a' has no target$"),
+        ({}, {}, "^edge 'a' has no source$"),  # once built, repr failed
+        ({"a": "1", "b": "1", "c": "1"}, {"a": "1", "b": "1"},
+         "^the source map names 'c', which is not an edge$"),
+        ({"a": "1", "b": "1"}, {"a": "1", "b": "1", "z": "1", "c": "1"},
+         "^the target map names 'c', which is not an edge$"),
+    ])
+    def test_incidence_keyed_by_exactly_the_edges(self, src, tgt, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(["1"], ["a", "b"], src, tgt)
 
     def test_dangling_target(self):
-        bad = Graph(["1"], ["x"], {"x": "1"}, {"x": "9"})
-        problems = validate_graph(bad)
-        assert len(problems) == 1
-        assert "dangling target" in problems[0]
+        # once built, this graph let a search map a node to the missing '9'
+        with pytest.raises(ValueError,
+                           match="^edge 'a' has dangling target '9'$"):
+            Graph({"1"}, {"a"}, {"a": "1"}, {"a": "9"})
+
+    @pytest.mark.parametrize("src, tgt, message", [
+        ({"x": "8"}, {"x": "9"}, "^edge 'x' has dangling source '8'$"),
+        ({"x": "1", "w": "1"}, {"x": "9", "w": "7"},
+         "^edge 'w' has dangling target '7'$"),
+    ])
+    def test_endpoints_are_nodes(self, src, tgt, message):
+        # the least edge with a dangling end is named, its source before
+        # its target
+        with pytest.raises(ValueError, match=message):
+            Graph(["1"], src.keys(), src, tgt)
 
     def test_shared_name(self):
-        bad = Graph(["1", "x"], ["x"], {"x": "1"}, {"x": "1"})
-        assert any("both a node and an edge" in p for p in validate_graph(bad))
+        with pytest.raises(ValueError,
+                           match="^name 'x' is both a node and an edge$"):
+            Graph(["1", "x", "y"], ["y", "x"], {"x": "1", "y": "1"},
+                  {"x": "1", "y": "1"})
 
     def test_graph_immutable(self):
         with pytest.raises(AttributeError):

@@ -31,10 +31,9 @@ class TestFootprint:
         assert "monic" in fp and "final" not in fp
 
     def test_bad_arity_rejected(self):
-        bad = graph_of("")
-        object.__setattr__(bad, "src", {"x": "nowhere"})
-        with pytest.raises(ValueError):
-            PredicateSymbol("p", bad)
+        # an arity is a graph, and no value that is not one can be built
+        with pytest.raises(ValueError, match="not an edge"):
+            PredicateSymbol("p", Graph([], [], {"x": "nowhere"}, {}))
 
 
 class TestStatements:
