@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a checked constraint fails, 2 input/usage error,
 3 the repair step bound was exhausted while rules still matched, 4 the
-evaluation step budget was exhausted.
+evaluation step budget was exhausted.  ``check`` resolves every constraint,
+its target sketch and its anchor, before it prints anything, so an input
+error leaves stdout empty.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import argparse
 import json
 import sys
 from itertools import chain
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .category import initial_morphism
 from .conditions import (Constraint, EvaluationBudgetExceeded, Forall,
@@ -48,11 +50,13 @@ def _sketch_document(doc: Document, name: str, sketch: Sketch) -> str:
                                    sketches={name: sketch}))
 
 
-def _target_sketch(doc: Document, args, decl=None) -> Sketch:
+def _target_sketch(doc: Document, args, decl=None) -> Tuple[str, Sketch]:
+    """The name and value of the sketch given by ``--sketch`` or else the
+    only one that ``decl``'s anchor lands in, or else the only one."""
     if getattr(args, "sketch", None):
-        return doc.lookup("sketch", args.sketch)
+        return args.sketch, doc.lookup("sketch", args.sketch)
     if decl is not None and decl.anchor is not None:
-        fits = [sk for sk in doc.sketches.values()
+        fits = [(name, sk) for name, sk in doc.sketches.items()
                 if sk.context == decl.anchor.cod]
         if len(fits) == 1:
             return fits[0]
@@ -62,7 +66,7 @@ def _target_sketch(doc: Document, args, decl=None) -> Sketch:
         raise InputError("several sketches match the constraint anchor; "
                          "pass --sketch")
     if len(doc.sketches) == 1:
-        return next(iter(doc.sketches.values()))
+        return next(iter(doc.sketches.items()))
     raise InputError("document has %d sketches; pass --sketch"
                      % len(doc.sketches))
 
@@ -71,12 +75,18 @@ def cmd_check(doc: Document, args) -> int:
     names = args.constraint or list(doc.constraints)
     if not names:
         raise InputError("document declares no constraints")
-    decls = [doc.lookup("constraint", name) for name in names]
+    targets = []
+    for name in names:
+        decl = doc.lookup("constraint", name)
+        sketch_name, sketch = _target_sketch(doc, args, decl)
+        try:
+            targets.append((name, sketch, decl.resolve(sketch.context)))
+        except ResolutionError:
+            raise InputError("constraint %r: anchor does not land in sketch %r"
+                             % (name, sketch_name)) from None
     reports = []
     all_hold = True
-    for name, decl in zip(names, decls):
-        sketch = _target_sketch(doc, args, decl)
-        k = decl.resolve(sketch.context)
+    for name, sketch, k in targets:
         if isinstance(k.condition, Forall):
             # one draw: its first violation is the counterexample
             draws = iter_violations(k.anchor, sketch, k.condition)
@@ -111,7 +121,7 @@ def cmd_repair(doc: Document, args) -> int:
     if args.max_steps < 0:
         raise InputError("--max-steps must be non-negative")
     rules = [doc.lookup("rule", name) for name in args.rules]
-    sketch = _target_sketch(doc, args)
+    _, sketch = _target_sketch(doc, args)
     final, trace, exhausted = repair_to_fixpoint(rules, sketch, args.max_steps)
     for i, step in enumerate(trace, start=1):
         print("step %d: match %s" % (i, _morphism_table(step.match)))
@@ -278,7 +288,7 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
 
 
 def cmd_deduce(doc: Document, args) -> int:
-    sketch = _target_sketch(doc, args)
+    _, sketch = _target_sketch(doc, args)
     store = _run_deduce_script(doc, sketch,
                                read_source(args.script).split("\n"))
     for name, k in store.items():

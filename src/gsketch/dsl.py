@@ -1,7 +1,10 @@
 """The specification DSL: parser with diagnostics and canonical printer.
 
 Declarations (graphs, footprints, morphisms, sketches, conditions,
-constraints, rules) are named and cross-reference each other by name.
+constraints, rules) are named and cross-reference each other by name.  A
+sketch's statements use its footprint's predicates.  Morphism bodies and
+statement bindings are element maps: each ``x -> y`` names a domain element
+once, in a morphism body in the section of its kind.
 Every rejected input is reported with its line and column: syntax errors,
 unknown and repeated names, and each construction whose value cannot be
 built, located at the token that opened it (:meth:`Parser.building`).
@@ -91,7 +94,12 @@ class Document:
     constraints: Dict[str, ConstraintDecl] = field(default_factory=dict)
     rules: Dict[str, Rule] = field(default_factory=dict)
 
-    def predicate(self, name: str) -> PredicateSymbol:
+    def predicate(self, name: str,
+                  footprint: Optional[str] = None) -> PredicateSymbol:
+        """The predicate ``name`` of ``footprint`` if that declares it, else
+        of every footprint that does."""
+        if footprint is not None and name in self.footprints[footprint]:
+            return self.footprints[footprint][name]
         found = [fp[name] for fp in self.footprints.values() if name in fp]
         if not found:
             raise ResolutionError("unknown predicate %r" % name)
@@ -216,13 +224,13 @@ class Parser:
             self.unexpected("a name")
         return self.next().value
 
-    def resolve(self, kind: str):
-        """Read a name and resolve it as a declaration of ``kind`` or, for
-        ``"predicate"``, a footprint predicate; errors name its position."""
+    def resolve(self, kind: str, footprint: Optional[str] = None):
+        """Read a name and resolve it as a declaration of ``kind`` or a
+        ``"predicate"`` (of ``footprint``); errors name its position."""
         tok = self.peek()
         name = self.expect_name()
         try:
-            return (self.doc.predicate(name) if kind == "predicate"
+            return (self.doc.predicate(name, footprint) if kind == "predicate"
                     else self.doc.lookup(kind, name))
         except ResolutionError as exc:
             raise ResolutionError(_located(tok, str(exc))) from None
@@ -241,10 +249,18 @@ class Parser:
             what = "" if kind is None else "%s %r: " % (kind, tok.value)
             raise ValidationError(_located(tok, what + str(exc))) from exc
 
+    def new_name(self, taken, kind: str) -> _Token:
+        """Read a name that ``taken`` does not hold yet; a repeat is a
+        duplicate ``kind`` name, located at the name."""
+        tok = self.peek()
+        if self.expect_name() in taken:
+            raise ResolutionError(
+                _located(tok, "duplicate %s name %r" % (kind, tok.value)))
+        return tok
+
     def section(self) -> str:
         """Read the ``nodes`` or ``edges`` keyword that opens a body section."""
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value not in ("nodes", "edges"):
+        if not (self.at("nodes") or self.at("edges")):
             self.unexpected("'nodes'", "'edges'")
         return self.next().value
 
@@ -259,15 +275,10 @@ class Parser:
             if self.peek().kind != "ident" or kind not in _TABLES:
                 self.unexpected("a declaration keyword")
             self.next()
-            tok = self.peek()
-            name = self.expect_name()
-            with self.building(tok, kind):
-                value = getattr(self, "parse_%s_decl" % kind)()
             table = getattr(self.doc, _TABLES[kind])
-            if name in table:
-                raise ResolutionError(
-                    _located(tok, "duplicate %s name %r" % (kind, name)))
-            table[name] = value
+            tok = self.new_name(table, kind)
+            with self.building(tok, kind):
+                table[tok.value] = getattr(self, "parse_%s_decl" % kind)()
         return self.doc
 
     def parse_graph_decl(self) -> Graph:
@@ -290,18 +301,10 @@ class Parser:
                 while (self.peek().kind == "quoted"
                        or (self.peek().kind == "ident"
                            and self.peek().value not in ("nodes", "edges"))):
-                    tok = self.next()
-                    if tok.value in nodes:
-                        raise ResolutionError(
-                            _located(tok, "duplicate node name %r" % tok.value))
-                    nodes.add(tok.value)
+                    nodes.add(self.new_name(nodes, "node").value)
             else:
                 while True:
-                    tok = self.peek()
-                    e = self.expect_name()
-                    if e in src:
-                        raise ResolutionError(
-                            _located(tok, "duplicate edge name %r" % e))
+                    e = self.new_name(src, "edge").value
                     self.expect(":")
                     ends.append(self.peek())
                     src[e] = self.expect_name()
@@ -329,75 +332,72 @@ class Parser:
         preds = {}
         while not self.at("}"):
             self.expect("pred")
-            tok = self.peek()
-            pname = self.expect_name()
-            if pname in preds:
-                raise ResolutionError(
-                    _located(tok, "duplicate predicate name %r" % pname))
+            pname = self.new_name(preds, "predicate").value
             self.expect("arity")
             preds[pname] = PredicateSymbol(pname, self.graph_ref())
             self.accept(";")
         self.expect("}")
         return Footprint(preds.values())
 
-    def parse_pairs(self) -> List[Tuple[_Token, str]]:
-        """Parse ``x -> y, ...`` up to the first token that is not a name;
-        each pair keeps the token of its left name."""
-        pairs: List[Tuple[_Token, str]] = []
-        while self.peek().kind in ("ident", "quoted"):
-            a = self.next()
-            self.expect("->")
-            pairs.append((a, self.expect_name()))
-            self.accept(",")
-        return pairs
-
-    def parse_assignments(self) -> List[Tuple[str, str]]:
-        """Parse ``{ x -> y, ... }`` into an ordered association list."""
+    def parse_element_map(self, dom: Graph, cod: Graph, what: str = "",
+                          sectioned: bool = False) -> GraphMorphism:
+        """Parse ``{ x -> y, ... }`` or, if ``sectioned``, a morphism body
+        ``{ nodes x -> y, ...; edges ...; }`` into a morphism dom -> cod.
+        Each ``x`` must be a new element of ``dom``, in a section of its
+        kind; errors are located at it and prefixed with ``what``."""
         self.expect("{")
-        pairs = self.parse_pairs()
+        entries = {"nodes": {}, "edges": {}}
+        section = None
+        while not self.at("}"):
+            if sectioned:
+                section = self.section()
+            while self.peek().kind in ("ident", "quoted"):
+                tok = self.next()
+                x = tok.value
+                kind = "edges" if x in dom.edges else "nodes"
+                if kind == "nodes" and x not in dom.nodes:
+                    problem = "is neither a node nor an edge of the domain"
+                elif section not in (None, kind):
+                    problem = "belongs in %s, not in %s" % (kind, section)
+                elif x in entries[kind]:
+                    problem = "is mapped twice"
+                else:
+                    self.expect("->")
+                    entries[kind][x] = self.expect_name()
+                    self.accept(",")
+                    continue
+                raise ResolutionError(
+                    _located(tok, "%s%r %s" % (what, x, problem)))
+            if not sectioned:
+                break
+            self.accept(";")
         self.expect("}")
-        return pairs
-
-    def _split_assignments(self, pairs, dom: Graph, what: str):
-        nodes, edges = {}, {}
-        for tok, b in pairs:
-            if tok.value in dom.nodes:
-                nodes[tok.value] = b
-            elif tok.value in dom.edges:
-                edges[tok.value] = b
-            else:
-                raise ResolutionError(_located(
-                    tok, "%s: %r is neither a node nor an edge of the domain"
-                    % (what, tok.value)))
-        return nodes, edges
+        return morphism_of(dom, cod, entries["nodes"], entries["edges"])
 
     def parse_morphism_decl(self) -> GraphMorphism:
         self.expect(":")
         dom = self.graph_ref()
         self.expect("->")
-        cod = self.graph_ref()
-        self.expect("{")
-        sections = {"nodes": {}, "edges": {}}
-        while not self.at("}"):
-            sections[self.section()].update(
-                (a.value, b) for a, b in self.parse_pairs())
-            self.accept(";")
-        self.expect("}")
-        return morphism_of(dom, cod, sections["nodes"], sections["edges"])
+        return self.parse_element_map(dom, self.graph_ref(), sectioned=True)
 
-    def parse_statement(self, context: Graph) -> Statement:
-        """Parse ``PRED via { x -> y, ... }`` into a statement over context."""
+    def parse_statement(self, context: Graph,
+                        footprint: Optional[str] = None) -> Statement:
+        """Parse ``PRED via { x -> y, ... }`` into a statement over context;
+        PRED must be a predicate of ``footprint``, if that is given."""
         tok = self.peek()
-        pred = self.resolve("predicate")
-        self.expect("via")
-        nodes, edges = self._split_assignments(self.parse_assignments(),
-                                               pred.arity,
-                                               "statement %r" % pred.name)
+        pred = self.resolve("predicate", footprint)
         with self.building(tok, "statement"):
-            return Statement(pred, morphism_of(pred.arity, context, nodes, edges))
+            if (footprint is not None
+                    and pred.name not in self.doc.footprints[footprint]):
+                raise MismatchError("the predicate is not in footprint %r"
+                                    % footprint)
+            self.expect("via")
+            return Statement(pred, self.parse_element_map(
+                pred.arity, context, "statement %r: " % pred.name))
 
     def parse_sketch_decl(self) -> Sketch:
         self.expect("over")
+        footprint = self.peek().value
         self.resolve("footprint")
         self.expect("on")
         context = self.graph_ref()
@@ -405,7 +405,7 @@ class Parser:
         statements = []
         while not self.at("}"):
             self.expect("stmt")
-            statements.append(self.parse_statement(context))
+            statements.append(self.parse_statement(context, footprint))
             self.accept(";")
         self.expect("}")
         return Sketch(context, statements)
@@ -562,8 +562,19 @@ def _declarations(g: Graph, base: Graph = EMPTY_GRAPH) -> List[str]:
     return lines
 
 
-def _format_graph_body(g: Graph) -> str:
-    lines = _declarations(g)
+def _entries(m: GraphMorphism) -> Tuple[List[str], List[str]]:
+    """The ``x -> y`` entries of ``m`` that parse back to it, each part
+    sorted: those of the nodes that no edge forces, and of the edges."""
+    dom = m.dom
+    forced = {*dom.src.values(), *dom.tgt.values()}
+    return (["%s -> %s" % (_q(n), _q(m.node_map[n]))
+             for n in sorted(dom.nodes - forced)],
+            ["%s -> %s" % (_q(e), _q(m.edge_map[e]))
+             for e in sorted(dom.edges)])
+
+
+def _braced(lines: List[str]) -> str:
+    """``lines`` indented inside braces, or ``{ }`` if there are none."""
     return "{\n%s\n}" % "\n".join("  " + x for x in lines) if lines else "{ }"
 
 
@@ -613,7 +624,8 @@ class _Printer:
         if g not in self.graph_names:
             name = self._fresh(self.graph_hints.get(g), "graph")
             self.graph_names[g] = name
-            self.extra.append("graph %s %s" % (_q(name), _format_graph_body(g)))
+            self.extra.append("graph %s %s"
+                              % (_q(name), _braced(_declarations(g))))
         return _q(self.graph_names[g])
 
     def morphism_name(self, m: GraphMorphism) -> str:
@@ -626,31 +638,16 @@ class _Printer:
     def format_morphism(self, name: str, m: GraphMorphism) -> str:
         dom = self.graph_name(m.dom)
         cod = self.graph_name(m.cod)
-        lines = []
-        covered = set()
-        for e in m.dom.edges:
-            covered.update((m.dom.src[e], m.dom.tgt[e]))
-        loose = sorted(m.dom.nodes - covered)
-        if loose:
-            lines.append("  nodes %s;" % ", ".join(
-                "%s -> %s" % (_q(n), _q(m.node_map[n])) for n in loose))
-        if m.dom.edges:
-            lines.append("  edges %s;" % ", ".join(
-                "%s -> %s" % (_q(e), _q(m.edge_map[e]))
-                for e in sorted(m.dom.edges)))
-        body = "{\n%s\n}" % "\n".join(lines) if lines else "{ }"
-        return "morphism %s : %s -> %s %s" % (_q(name), dom, cod, body)
+        lines = ["%s %s;" % (section, ", ".join(entries))
+                 for section, entries in zip(("nodes", "edges"), _entries(m))
+                 if entries]
+        return "morphism %s : %s -> %s %s" % (_q(name), dom, cod,
+                                              _braced(lines))
 
     def format_statement(self, s: Statement) -> str:
-        entries = []
-        covered = set()
-        arity = s.predicate.arity
-        for e in sorted(arity.edges):
-            entries.append("%s -> %s" % (_q(e), _q(s.binding.edge_map[e])))
-            covered.update((arity.src[e], arity.tgt[e]))
-        for n in sorted(arity.nodes - covered):
-            entries.append("%s -> %s" % (_q(n), _q(s.binding.node_map[n])))
-        return "stmt %s via { %s }" % (_q(s.predicate.name), ", ".join(entries))
+        loose, edges = _entries(s.binding)
+        return "stmt %s via { %s }" % (_q(s.predicate.name),
+                                       ", ".join(edges + loose))
 
     def format_shift(self, m: GraphMorphism) -> str:
         if _is_inclusion(m):
@@ -694,11 +691,11 @@ class _Printer:
         if fp_name is None:
             fp_name = "footprint_%s" % name
             self.extra.append(self.format_footprint(fp_name, Footprint(preds)))
-        lines = ["  %s;" % self.format_statement(s)
+        lines = ["%s;" % self.format_statement(s)
                  for s in sk.sorted_statements()]
-        body = "{\n%s\n}" % "\n".join(lines) if lines else "{ }"
         return "sketch %s over %s on %s %s" % (_q(name), _q(fp_name),
-                                               self.graph_name(sk.context), body)
+                                               self.graph_name(sk.context),
+                                               _braced(lines))
 
 
 def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
@@ -711,7 +708,7 @@ def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
         chunks.append(text)
 
     for name, g in doc.graphs.items():
-        emit("graph %s %s" % (_q(name), _format_graph_body(g)))
+        emit("graph %s %s" % (_q(name), _braced(_declarations(g))))
     for name, fp in doc.footprints.items():
         emit(printer.format_footprint(name, fp))
     for name, m in doc.morphisms.items():

@@ -208,6 +208,9 @@ def morphism_of(dom: Graph, cod: Graph, nodes: Mapping[str, str] = None,
     """
     node_map = dict(nodes or {})
     edge_map = dict(edges or {})
+    for n in node_map:
+        if n not in dom.nodes:
+            raise MismatchError("unknown node %r in assignment" % n)
     for e, img in edge_map.items():
         if e not in dom.edges:
             raise MismatchError("unknown edge %r in assignment" % e)

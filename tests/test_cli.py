@@ -11,7 +11,7 @@ from gsketch.cli import main
 from gsketch.dsl import parse, parse_files
 
 from conftest import FIXTURE_DIR
-from test_dsl import REJECTED
+from test_dsl import BAD_ENTRIES, REJECTED
 
 SRC_DIR = FIXTURE_DIR.parent.parent / "src"
 
@@ -125,10 +125,70 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err == "error: %s\n" % message
 
+    @pytest.mark.parametrize("text, message", BAD_ENTRIES.values(),
+                             ids=BAD_ENTRIES)
+    def test_bad_entry_exits_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.sketch"
+        path.write_text(text)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
     def test_missing_file_exits_two(self, capsys):
         code = main(["check", "/nonexistent.sketch", "--all"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestCheckResolution:
+    """``check`` picks each constraint's sketch and resolves its anchor
+    before it prints anything."""
+
+    @pytest.mark.parametrize("files, argv, data, message", [
+        # the first constraint, k_phi1_t1, is anchored in G
+        ("corpus", ["--sketch", "Gprime"], None,
+         "constraint 'k_phi1_t1': anchor does not land in sketch 'Gprime'"),
+        # k_phi1_t1 and k_phi1_t2 pick G; k_phi2 has an initial anchor
+        ("corpus", [], None, "document has 6 sketches; pass --sketch"),
+        ("corpus", ["--constraint", "k_lone"],
+         b"graph Lone { nodes a b c; edges x: a -> b, y: b -> c; }\n"
+         b"morphism into_lone : K1 -> Lone { edges e1 -> x, e2 -> y; }\n"
+         b"constraint k_lone = (phi1, into_lone)\n",
+         "no sketch matches the constraint anchor; pass --sketch"),
+        ("corpus", ["--constraint", "k_phi1_t1"],
+         b"sketch G2 over CT on GG { }\n",
+         "several sketches match the constraint anchor; pass --sketch"),
+        ("base", [], None, "document declares no constraints"),
+        ("base", ["--constraint", "k"],
+         b"graph Two { nodes v w; }\n"
+         b"footprint F1 { pred final arity Two; }\n"
+         b"condition c over Point = stmt final via { v -> v }\n"
+         b"constraint k = (c, initial)\n",
+         "line 3, column 31: predicate 'final' is ambiguous between "
+         "footprints"),
+    ])
+    def test_unresolved_check_prints_nothing(self, corpus, tmp_path, capsys,
+                                             files, argv, data, message):
+        paths = corpus if files == "corpus" else corpus[:1]
+        if data is not None:
+            (tmp_path / "input.sketch").write_bytes(data)
+            paths = paths + [str(tmp_path / "input.sketch")]
+        code = main(["check", *paths, *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+    def test_only_sketch_is_the_default(self, corpus, tmp_path, capsys):
+        path = tmp_path / "one.sketch"
+        path.write_text(
+            "sketch S over CT on Point { stmt final via { v -> v }; }\n"
+            "condition c over Empty =\n"
+            "  exists (extend { nodes x; }) . stmt final via { v -> x }\n"
+            "constraint k = (c, initial)\n")
+        code = main(["check", *corpus[:1], str(path)])
+        assert code == 0
+        assert capsys.readouterr().out == "k: holds\n  witness {x -> v}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -160,6 +220,11 @@ def test_unknown_name_exits_two(corpus, capsys, argv, message):
     (["deduce", "--sketch", "Gprime", "--script", "{path}"],
      b"assume phi3 initial as unique\n# gr\xf6\xdfe\n",
      "line 2, column 5: {path}: byte 0xf6 is not UTF-8"),
+    (["check", "{path}", "--all"],
+     b"footprint F2 { pred final arity Point; }\n"
+     b"sketch S over F2 on Arrow { stmt monic via { e -> e }; }\n",
+     "line 2, column 34: statement 'monic': the predicate is not in "
+     "footprint 'F2'"),
 ])
 def test_rejected_input_exits_two(corpus, tmp_path, capsys, argv, data,
                                   message):

@@ -55,6 +55,36 @@ REJECTED = {
                "constraint k = (c, n)",
         "line 7, column 12: constraint 'k': anchor does not start at the "
         "condition context"),
+    "footprint": (
+        BASE + "graph Point { nodes v; }\n"
+               "footprint F2 { pred final arity Point; }\n"
+               "sketch S over F2 on Arrow { stmt monic via { e -> e }; }",
+        "line 6, column 34: statement 'monic': the predicate is not in "
+        "footprint 'F2'"),
+}
+
+# An element-map entry the parser rejects, with its message, located at the
+# entry: morphism bodies and statement bindings are read alike.
+BAD_ENTRIES = {
+    "unknown": (
+        PAIR + "morphism m : Arrow -> Pair { nodes zz -> v1; edges e -> e; }",
+        "line 6, column 36: 'zz' is neither a node nor an edge of the domain"),
+    "edge-twice": (
+        PAIR + "morphism m : Arrow -> Pair { edges e -> e, e -> f; }",
+        "line 6, column 44: 'e' is mapped twice"),
+    "edge-under-nodes": (
+        PAIR + "morphism m : Arrow -> Pair { nodes e -> v1; edges e -> e; }",
+        "line 6, column 36: 'e' belongs in edges, not in nodes"),
+    "node-under-edges": (
+        PAIR + "morphism m : Arrow -> Pair { edges v1 -> v1; }",
+        "line 6, column 36: 'v1' belongs in nodes, not in edges"),
+    "node-twice": (
+        PAIR + "morphism m : Arrow -> Pair { nodes v1 -> v1; nodes v1 -> v1; "
+               "edges e -> e; }",
+        "line 6, column 52: 'v1' is mapped twice"),
+    "statement-edge-twice": (
+        PAIR + "sketch S over FP on Pair { stmt monic via { e -> e, e -> f }; }",
+        "line 6, column 53: statement 'monic': 'e' is mapped twice"),
 }
 
 
@@ -239,6 +269,23 @@ class TestDiagnostics:
         with pytest.raises(ResolutionError) as err:
             parse(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", BAD_ENTRIES.values(),
+                             ids=BAD_ENTRIES)
+    def test_bad_entry_is_located(self, text, message):
+        with pytest.raises(ResolutionError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_statement_uses_its_sketch_footprint(self):
+        # a predicate of the sketch's footprint, though another footprint
+        # declares one of the same name with another arity
+        doc = parse(BASE + "graph Point { nodes v; }\n"
+                           "footprint F2 { pred monic arity Point; }\n"
+                           "sketch S over F2 on Arrow "
+                           "{ stmt monic via { v -> v1 }; }")
+        (s,) = doc.sketches["S"].statements
+        assert s.predicate == doc.footprints["F2"]["monic"]
 
     @pytest.mark.parametrize("text, message", REJECTED.values(),
                              ids=REJECTED)

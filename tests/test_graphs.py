@@ -196,6 +196,17 @@ class TestMorphismOf:
         with pytest.raises(MismatchError, match="conflicting"):
             morphism_of(K1, G, edges={"e1": "a", "e2": "d"})
 
+    @pytest.mark.parametrize("nodes, edges, message", [
+        ({"zz": "1"}, {"e1": "a", "e2": "b"}, "unknown node 'zz' in assignment"),
+        # an edge is not a node, also where the edge is mapped as well
+        ({"e1": "1"}, {"e1": "a", "e2": "b"}, "unknown node 'e1' in assignment"),
+        ({}, {"e1": "a", "zz": "b"}, "unknown edge 'zz' in assignment"),
+    ])
+    def test_unknown_key_rejected(self, nodes, edges, message):
+        with pytest.raises(MismatchError) as err:
+            morphism_of(K1, G, nodes, edges)
+        assert str(err.value) == message
+
 
 class TestEnumeration:
     def test_single_node_counts_nodes(self):
