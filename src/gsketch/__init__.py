@@ -6,10 +6,9 @@ from .graphs import (Graph, GraphMorphism, MismatchError, NotInvertibleError,
                      is_monomorphism, iter_extensions, morphism_of)
 from .category import (PullbackResult, PushoutResult, initial_graph,
                        initial_morphism, pullback, pushout)
-from .sketches import (Footprint, MultiSketch, MultiSketchMorphism,
-                       PredicateSymbol, Sketch, SketchMorphism, Statement,
-                       is_sketch_morphism, multi_pullback, multi_pushout,
-                       sketch_pullback, sketch_pushout, translate_statement)
+from .sketches import (Footprint, PredicateSymbol, Sketch, SketchMorphism,
+                       Statement, is_sketch_morphism, sketch_pullback,
+                       sketch_pushout, translate_statement)
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          Junction, Not, Or, Quantifier, Stmt, Top, Verdict,
                          check_constraint, conj, implication, is_closed,
@@ -26,9 +25,6 @@ from .ct import (CT_FOOTPRINT, colimit_condition, comp_stmt, cone_contexts,
                  final_stmt, limit_condition, monic_stmt, unfold)
 from .dsl import (Document, ParseError, ResolutionError, ValidationError,
                   format_condition, parse, parse_files, print_document)
-from .oracles import (conditions_equal_modulo_renaming, default_test_graphs,
-                      shift_equivalence_oracle, sketches_isomorphic,
-                      verify_pullback, verify_pushout)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

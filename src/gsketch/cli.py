@@ -50,21 +50,24 @@ def _sketch_document(doc: Document, name: str, sketch: Sketch) -> str:
                                    sketches={name: sketch}))
 
 
-def _target_sketch(doc: Document, args, decl=None) -> Tuple[str, Sketch]:
+def _target_sketch(doc: Document, args,
+                   constraint: Optional[str] = None) -> Tuple[str, Sketch]:
     """The name and value of the sketch given by ``--sketch`` or else the
-    only one that ``decl``'s anchor lands in, or else the only one."""
+    only one that the anchor of the named ``constraint`` lands in, or else
+    the only one."""
     if getattr(args, "sketch", None):
         return args.sketch, doc.lookup("sketch", args.sketch)
+    decl = doc.constraints.get(constraint)
     if decl is not None and decl.anchor is not None:
         fits = [(name, sk) for name, sk in doc.sketches.items()
                 if sk.context == decl.anchor.cod]
         if len(fits) == 1:
             return fits[0]
         if not fits:
-            raise InputError("no sketch matches the constraint anchor; "
-                             "pass --sketch")
-        raise InputError("several sketches match the constraint anchor; "
-                         "pass --sketch")
+            raise InputError("constraint %r: no sketch matches the constraint "
+                             "anchor; pass --sketch" % constraint)
+        raise InputError("constraint %r: several sketches match the "
+                         "constraint anchor; pass --sketch" % constraint)
     if len(doc.sketches) == 1:
         return next(iter(doc.sketches.items()))
     raise InputError("document has %d sketches; pass --sketch"
@@ -78,7 +81,7 @@ def cmd_check(doc: Document, args) -> int:
     targets = []
     for name in names:
         decl = doc.lookup("constraint", name)
-        sketch_name, sketch = _target_sketch(doc, args, decl)
+        sketch_name, sketch = _target_sketch(doc, args, name)
         try:
             targets.append((name, sketch, decl.resolve(sketch.context)))
         except ResolutionError:

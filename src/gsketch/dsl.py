@@ -267,8 +267,9 @@ class Parser:
     # declarations ---------------------------------------------------------
 
     def parse_document(self) -> Document:
-        """Parse each ``KIND NAME ...`` declaration with ``parse_KIND_decl``,
-        which reads what follows the name and returns the declared value."""
+        """Parse each ``KIND NAME ...`` declaration with
+        ``parse_KIND_decl(NAME)``, which reads what follows the name and
+        returns the declared value."""
         while self.peek().kind != "eof":
             kind = self.peek().value
             # the declaration keywords are exactly the kinds of declaration
@@ -278,10 +279,11 @@ class Parser:
             table = getattr(self.doc, _TABLES[kind])
             tok = self.new_name(table, kind)
             with self.building(tok, kind):
-                table[tok.value] = getattr(self, "parse_%s_decl" % kind)()
+                table[tok.value] = getattr(self, "parse_%s_decl" % kind)(
+                    tok.value)
         return self.doc
 
-    def parse_graph_decl(self) -> Graph:
+    def parse_graph_decl(self, name: str) -> Graph:
         return self.parse_graph_body()
 
     def parse_graph_body(self, base: Graph = EMPTY_GRAPH) -> Graph:
@@ -327,7 +329,7 @@ class Parser:
             return self.parse_graph_body()
         return self.resolve("graph")
 
-    def parse_footprint_decl(self) -> Footprint:
+    def parse_footprint_decl(self, name: str) -> Footprint:
         self.expect("{")
         preds = {}
         while not self.at("}"):
@@ -374,11 +376,12 @@ class Parser:
         self.expect("}")
         return morphism_of(dom, cod, entries["nodes"], entries["edges"])
 
-    def parse_morphism_decl(self) -> GraphMorphism:
+    def parse_morphism_decl(self, name: str) -> GraphMorphism:
         self.expect(":")
         dom = self.graph_ref()
         self.expect("->")
-        return self.parse_element_map(dom, self.graph_ref(), sectioned=True)
+        return self.parse_element_map(dom, self.graph_ref(),
+                                      "morphism %r: " % name, sectioned=True)
 
     def parse_statement(self, context: Graph,
                         footprint: Optional[str] = None) -> Statement:
@@ -395,7 +398,7 @@ class Parser:
             return Statement(pred, self.parse_element_map(
                 pred.arity, context, "statement %r: " % pred.name))
 
-    def parse_sketch_decl(self) -> Sketch:
+    def parse_sketch_decl(self, name: str) -> Sketch:
         self.expect("over")
         footprint = self.peek().value
         self.resolve("footprint")
@@ -410,7 +413,7 @@ class Parser:
         self.expect("}")
         return Sketch(context, statements)
 
-    def parse_condition_decl(self) -> Condition:
+    def parse_condition_decl(self, name: str) -> Condition:
         self.expect("over")
         context = self.graph_ref()
         self.expect("=")
@@ -483,7 +486,7 @@ class Parser:
             return _CONNECTIVES[keyword](context, guard, shift, body)
         self.unexpected("a condition expression")
 
-    def parse_constraint_decl(self) -> ConstraintDecl:
+    def parse_constraint_decl(self, name: str) -> ConstraintDecl:
         self.expect("=")
         self.expect("(")
         cond_name = self.peek().value
@@ -496,7 +499,7 @@ class Parser:
         self.expect(")")
         return ConstraintDecl(cond_name, cond, anchor_name, anchor)
 
-    def parse_rule_decl(self) -> Rule:
+    def parse_rule_decl(self, name: str) -> Rule:
         self.expect("=")
         self.expect("morphism")
         m = self.resolve("morphism")

@@ -5,22 +5,21 @@ binding morphism from its arity graph into a context.  Over a fixed context
 the binding is given by its images, so a statement's key is the tuple of
 node images and the tuple of edge images, in the sorted order of the arity's
 nodes and edges.  Stm(phi) has one implementation, ``translate_key``, which
-maps a key by looking each image up in phi; statements, indexes and
-multi-sketch families are all translated through it.  A sketch is a context
-plus a set of statements, of which it stores only the index from each
-predicate to the keys of its statements; sketch morphisms preserve
-statements.  Sketch-level pushouts and pullbacks are derived from the
-graph-level ones and read and write that index, including the multi-sketch
-variants where statements carry identifiers.
+maps a key by looking each image up in phi; statements and indexes are
+both translated through it.  A sketch is a context plus a set of
+statements, of which it stores only the index from each predicate to the
+keys of its statements; sketch morphisms preserve statements.  Sketch-level
+pushouts and pullbacks are derived from the graph-level ones and read and
+write that index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .category import pair_name, pullback, pushout, tagged_quotient
+from .category import pair_name, pullback, pushout
 from .graphs import Graph, GraphMorphism, MismatchError
 
 
@@ -287,125 +286,3 @@ def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
     # each statement of D projects to the pair it was built from
     return (d, unchecked(SketchMorphism, dom=d, cod=r.dom, morphism=pb.right),
             unchecked(SketchMorphism, dom=d, cod=m.dom, morphism=pb.left))
-
-
-class MultiSketch:
-    """A sketch whose statements carry identities (an indexed family).
-
-    ``stm`` is a read-only view of a private copy.
-    """
-
-    __slots__ = ("context", "stm")
-
-    def __init__(self, context: Graph, stm: Mapping[str, Statement]):
-        stm = dict(stm)
-        for i, s in stm.items():
-            if s.context != context:
-                raise MismatchError(
-                    "statement %r is not bound in the multi-sketch context" % i)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "stm", MappingProxyType(stm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiSketch is immutable")
-
-    @property
-    def ids(self) -> frozenset:
-        return frozenset(self.stm)
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiSketch) and self.context == other.context
-                and self.stm == other.stm)
-
-    def __hash__(self):
-        return hash((self.context, tuple(sorted(self.stm.items(),
-                                                key=lambda kv: kv[0]))))
-
-
-@dataclass(frozen=True)
-class MultiSketchMorphism:
-    """A context morphism with an identifier map along which every
-    statement translates onto the statement of its image identifier.
-
-    ``id_map`` is a read-only view of a private copy.
-    """
-    dom: MultiSketch
-    cod: MultiSketch
-    morphism: GraphMorphism
-    id_map: Mapping[str, str]
-
-    def __post_init__(self):
-        if (self.morphism.dom != self.dom.context
-                or self.morphism.cod != self.cod.context):
-            raise MismatchError(
-                "morphism endpoints differ from the multi-sketch contexts")
-        object.__setattr__(self, "id_map", MappingProxyType(dict(self.id_map)))
-        for i in self.dom.ids:
-            if i not in self.id_map:
-                raise MismatchError("identifier %r is unmapped" % i)
-            j = self.id_map[i]
-            if j not in self.cod.ids:
-                raise MismatchError("identifier %r maps to unknown %r" % (i, j))
-            s, t = self.dom.stm[i], self.cod.stm[j]
-            if (s.predicate != t.predicate
-                    or translate_key(self.morphism, s.key) != t.key):
-                raise MismatchError(
-                    "identifier map is incompatible with statements at %r" % i)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.morphism,
-                     frozenset(self.id_map.items())))
-
-
-def _multi_leg(dom: MultiSketch, cod: MultiSketch, morphism: GraphMorphism,
-               id_map: dict) -> MultiSketchMorphism:
-    """The multi-sketch morphism with these fields, unchecked: for legs that
-    are valid by construction and own ``id_map``."""
-    return unchecked(MultiSketchMorphism, dom=dom, cod=cod, morphism=morphism,
-                     id_map=MappingProxyType(id_map))
-
-
-def multi_pushout(m: MultiSketchMorphism, r: MultiSketchMorphism):
-    """Componentwise pushout of contexts and identifier sets."""
-    if m.dom is not r.dom and m.dom != r.dom:
-        raise MismatchError("multi pushout needs a span with a common domain")
-    po = pushout(m.morphism, r.morphism)
-
-    # identifier-set pushout: tagged disjoint union modulo the span images
-    ids_l, ids_r = tagged_quotient(
-        m.cod.ids, r.cod.ids, ((m.id_map[i], r.id_map[i]) for i in m.dom.ids))
-    stm = {}
-    for leg, side, ids in ((po.left, m.cod, ids_l), (po.right, r.cod, ids_r)):
-        for i, s in side.stm.items():
-            stm[ids[i]] = _statement_at(s.predicate, po.object,
-                                        translate_key(leg, s.key))
-    d = MultiSketch(po.object, stm)
-    # each identifier's statement is translated along its own leg
-    return (d, _multi_leg(m.cod, d, po.left, ids_l),
-            _multi_leg(r.cod, d, po.right, ids_r))
-
-
-def multi_pullback(m: MultiSketchMorphism, r: MultiSketchMorphism):
-    """Componentwise pullback of contexts and identifier sets.
-
-    The statement attached to a compatible identifier pair is the unique
-    mediating statement, obtained by pairing the two bindings through the
-    context pullback.
-    """
-    if m.cod != r.cod:
-        raise MismatchError("multi pullback needs a cospan with a common codomain")
-    pb = pullback(m.morphism, r.morphism)
-    # pb.left: D -> B (= m.dom context), pb.right: D -> A (= r.dom context)
-    # identified statements have one image in C, so they share a predicate
-    pairs = {pair_name(i, j): (i, j)
-             for i in sorted(m.dom.ids) for j in sorted(r.dom.ids)
-             if m.id_map[i] == r.id_map[j]}
-    d = MultiSketch(pb.object, {
-        p: _statement_at(m.dom.stm[i].predicate, pb.object, _paired_key(
-            m.dom.stm[i].key, r.dom.stm[j].key))
-        for p, (i, j) in pairs.items()})
-    # each paired statement projects to the two it was built from
-    return (d, _multi_leg(d, m.dom, pb.left,
-                          {p: i for p, (i, _) in pairs.items()}),
-            _multi_leg(d, r.dom, pb.right,
-                       {p: j for p, (_, j) in pairs.items()}))

@@ -24,9 +24,8 @@ from gsketch.dsl import parse, print_document
 from gsketch.graphs import (enumerate_extensions, enumerate_morphisms,
                             graph_of, identity, morphism_of)
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
-                              is_sketch_morphism, multi_pullback,
-                              multi_pushout, sketch_pullback, sketch_pushout,
-                              MultiSketch, MultiSketchMorphism)
+                              is_sketch_morphism, sketch_pullback,
+                              sketch_pushout)
 from gsketch.oracles import (composed_statement,
                              conditions_equal_modulo_renaming,
                              shift_equivalence_oracle, sketches_isomorphic,
@@ -181,19 +180,6 @@ def test_criterion_7_universal_properties(fx, doc):
                             in b.statements
                             and composed_statement(pr.morphism, sigma)
                             in b.statements)
-
-        # multi level: componentwise context plus identifier classes
-        gg = fx.graph_g
-        single = MultiSketch(gg, {"j": monic_stmt(gg, "b")})
-        pair = MultiSketch(gg, {"i1": monic_stmt(gg, "b"),
-                                "i2": monic_stmt(gg, "b")})
-        to1 = MultiSketchMorphism(single, pair, identity(gg), {"j": "i1"})
-        to2 = MultiSketchMorphism(single, pair, identity(gg), {"j": "i2"})
-        md, ml, mr = multi_pushout(to1, to2)
-        assert verify_pushout(to1.morphism, to2.morphism,
-                              PushoutResult(md.context, ml.morphism,
-                                            mr.morphism))
-        assert ml.id_map["i1"] == mr.id_map["i2"] and len(md.ids) == 3
 
 
 def test_criterion_8_limit_generator(fx):

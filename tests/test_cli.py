@@ -155,10 +155,12 @@ class TestCheckResolution:
          b"graph Lone { nodes a b c; edges x: a -> b, y: b -> c; }\n"
          b"morphism into_lone : K1 -> Lone { edges e1 -> x, e2 -> y; }\n"
          b"constraint k_lone = (phi1, into_lone)\n",
-         "no sketch matches the constraint anchor; pass --sketch"),
+         "constraint 'k_lone': no sketch matches the constraint anchor; "
+         "pass --sketch"),
         ("corpus", ["--constraint", "k_phi1_t1"],
          b"sketch G2 over CT on GG { }\n",
-         "several sketches match the constraint anchor; pass --sketch"),
+         "constraint 'k_phi1_t1': several sketches match the constraint "
+         "anchor; pass --sketch"),
         ("base", [], None, "document declares no constraints"),
         ("base", ["--constraint", "k"],
          b"graph Two { nodes v w; }\n"

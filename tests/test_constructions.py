@@ -1,6 +1,6 @@
 """Differential tests for the constructions that build their values
 without validation: every morphism a search yields, every leg of a pushout,
-pullback, composite, inverse, chosen pushout and (multi-)sketch (co)limit,
+pullback, composite, inverse, chosen pushout and sketch (co)limit,
 every paired statement binding and every rule match equals its rebuild
 through the validating constructor.  The graphs, spans and cospans are
 random, their legs often not injective, and their element names hold the
@@ -16,10 +16,8 @@ from gsketch.graphs import (Graph, GraphMorphism, compose,
                             identity, invert)
 from gsketch.oracles import (composed_statement, verify_pullback,
                              verify_pushout)
-from gsketch.sketches import (MultiSketch, MultiSketchMorphism, Sketch,
-                              SketchMorphism, Statement, multi_pullback,
-                              multi_pushout, sketch_pullback, sketch_pushout,
-                              statement_key)
+from gsketch.sketches import (Sketch, SketchMorphism, Statement,
+                              sketch_pullback, sketch_pushout)
 from gsketch.translation import chosen_pushout
 
 from test_graphs import small_graphs
@@ -37,12 +35,6 @@ def assert_valid(m):
 def assert_valid_sketch_leg(leg):
     assert_valid(leg.morphism)
     assert SketchMorphism(leg.dom, leg.cod, leg.morphism) == leg
-
-
-def assert_valid_multi_leg(leg):
-    assert_valid(leg.morphism)
-    assert MultiSketchMorphism(leg.dom, leg.cod, leg.morphism,
-                               leg.id_map) == leg
 
 
 @st.composite
@@ -112,21 +104,6 @@ def some_statements(draw, g, max_size=4):
     if not candidates:
         return set()
     return draw(st.sets(st.sampled_from(candidates), max_size=max_size))
-
-
-def identified(statements, prefix):
-    """A multi-sketch family: one identifier per statement, in a fixed
-    order."""
-    return {"%s%d" % (prefix, i): s
-            for i, s in enumerate(sorted(statements, key=statement_key))}
-
-
-def image_ids(family, leg, target):
-    """The identifier map sending each statement of ``family`` to the
-    identifier of its image along ``leg`` in the family ``target``."""
-    by_statement = {s: j for j, s in target.items()}
-    return {i: by_statement[composed_statement(leg, s)]
-            for i, s in family.items()}
 
 
 class TestGraphLegs:
@@ -215,51 +192,6 @@ class TestSketchLegs:
         assert_valid_sketch_leg(to_a)
         assert_valid_sketch_leg(to_b)
         for s in d.statements:
-            assert_valid(s.binding)
-
-
-class TestMultiSketchLegs:
-    @settings(max_examples=200, deadline=None)
-    @given(spans(), st.data())
-    def test_multi_pushout(self, span, data):
-        m, r = span
-        # the apex statements go to statements of B and A, where images
-        # that coincide share an identifier; B and A have more of their own
-        apex = identified(some_statements(data.draw, m.dom), "c")
-        sides = []
-        for leg, prefix in ((m, "b"), (r, "a")):
-            family = identified({composed_statement(leg, s)
-                                 for s in apex.values()}
-                                | some_statements(data.draw, leg.cod, 2),
-                                prefix)
-            sides.append(MultiSketchMorphism(
-                MultiSketch(leg.dom, apex), MultiSketch(leg.cod, family),
-                leg, image_ids(apex, leg, family)))
-        d, left, right = multi_pushout(*sides)
-        assert (left.dom, left.cod, right.dom, right.cod) == (
-            sides[0].cod, d, sides[1].cod, d)
-        assert_valid_multi_leg(left)
-        assert_valid_multi_leg(right)
-
-    @settings(max_examples=200, deadline=None)
-    @given(cospans(), st.data())
-    def test_multi_pullback(self, cospan, data):
-        m, r = cospan
-        b = identified(some_statements(data.draw, m.dom), "b")
-        a = identified(some_statements(data.draw, r.dom), "a")
-        c = identified({composed_statement(leg, s)
-                        for family, leg in ((b, m), (a, r))
-                        for s in family.values()}, "c")
-        base = MultiSketch(m.cod, c)
-        d, left, right = multi_pullback(
-            MultiSketchMorphism(MultiSketch(m.dom, b), base, m,
-                                image_ids(b, m, c)),
-            MultiSketchMorphism(MultiSketch(r.dom, a), base, r,
-                                image_ids(a, r, c)))
-        assert (left.dom, right.dom) == (d, d)
-        assert_valid_multi_leg(left)
-        assert_valid_multi_leg(right)
-        for s in d.stm.values():
             assert_valid(s.binding)
 
 

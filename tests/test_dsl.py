@@ -68,20 +68,23 @@ REJECTED = {
 BAD_ENTRIES = {
     "unknown": (
         PAIR + "morphism m : Arrow -> Pair { nodes zz -> v1; edges e -> e; }",
-        "line 6, column 36: 'zz' is neither a node nor an edge of the domain"),
+        "line 6, column 36: morphism 'm': 'zz' is neither a node nor an edge "
+        "of the domain"),
     "edge-twice": (
         PAIR + "morphism m : Arrow -> Pair { edges e -> e, e -> f; }",
-        "line 6, column 44: 'e' is mapped twice"),
+        "line 6, column 44: morphism 'm': 'e' is mapped twice"),
     "edge-under-nodes": (
         PAIR + "morphism m : Arrow -> Pair { nodes e -> v1; edges e -> e; }",
-        "line 6, column 36: 'e' belongs in edges, not in nodes"),
+        "line 6, column 36: morphism 'm': 'e' belongs in edges, not in "
+        "nodes"),
     "node-under-edges": (
         PAIR + "morphism m : Arrow -> Pair { edges v1 -> v1; }",
-        "line 6, column 36: 'v1' belongs in nodes, not in edges"),
+        "line 6, column 36: morphism 'm': 'v1' belongs in nodes, not in "
+        "edges"),
     "node-twice": (
         PAIR + "morphism m : Arrow -> Pair { nodes v1 -> v1; nodes v1 -> v1; "
                "edges e -> e; }",
-        "line 6, column 52: 'v1' is mapped twice"),
+        "line 6, column 52: morphism 'm': 'v1' is mapped twice"),
     "statement-edge-twice": (
         PAIR + "sketch S over FP on Pair { stmt monic via { e -> e, e -> f }; }",
         "line 6, column 53: statement 'monic': 'e' is mapped twice"),

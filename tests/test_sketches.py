@@ -8,12 +8,10 @@ from gsketch.ct import COMP, FINAL, MONIC, comp_stmt, monic_stmt
 from gsketch.graphs import (Graph, GraphMorphism, MismatchError, compose,
                             enumerate_morphisms, graph_of, identity,
                             morphism_of)
-from gsketch.sketches import (Footprint, MultiSketch, MultiSketchMorphism,
-                              PredicateSymbol, Sketch, SketchMorphism,
-                              Statement, is_sketch_morphism, multi_pullback,
-                              multi_pushout, sketch_pullback, sketch_pushout,
-                              statement_key, translate_key,
-                              translate_statement)
+from gsketch.sketches import (Footprint, PredicateSymbol, Sketch,
+                              SketchMorphism, Statement, is_sketch_morphism,
+                              sketch_pullback, sketch_pushout, statement_key,
+                              translate_key, translate_statement)
 from gsketch.oracles import composed_statement, sketches_isomorphic
 
 from test_graphs import small_graphs
@@ -173,136 +171,6 @@ class TestSketchPullback:
                 ok_right = composed_statement(
                     m_star.morphism, sigma) in b.statements
                 assert not (ok_left and ok_right)
-
-
-class TestMultiSketches:
-    def _monic_pair(self, fx):
-        g = fx.graph_g
-        s = monic_stmt(g, "b")
-        return MultiSketch(g, {"i1": s, "i2": s})
-
-    def test_morphism_endpoints_checked(self, fx):
-        # without identifiers no statement is translated, so only the
-        # endpoint check sees the foreign context morphism
-        x, yz = MultiSketch(graph_of("x"), {}), MultiSketch(graph_of("y z"), {})
-        for m in (identity(graph_of("", "a:p->q")), identity(graph_of("x")),
-                  identity(graph_of("y z"))):
-            with pytest.raises(MismatchError, match="multi-sketch contexts"):
-                MultiSketchMorphism(x, yz, m, {})
-        assert MultiSketchMorphism(x, x, identity(graph_of("x")), {}).dom == x
-
-    def test_identified_statements_share_a_predicate(self, fx):
-        # equal keys under another predicate of the same arity do not match
-        g = fx.graph_g
-        epi = PredicateSymbol("epi", MONIC.arity)
-        single = MultiSketch(g, {"j": monic_stmt(g, "b")})
-        other = MultiSketch(g, {"k": Statement(epi, monic_stmt(g, "b").binding)})
-        with pytest.raises(MismatchError, match="incompatible"):
-            MultiSketchMorphism(single, other, identity(g), {"j": "k"})
-
-    def test_statement_family_read_only(self, fx):
-        ms = self._monic_pair(fx)
-        with pytest.raises(TypeError):
-            ms.stm["i1"] = monic_stmt(fx.graph_g, "a")
-        assert ms == self._monic_pair(fx)
-
-    def test_identifier_map_read_only(self, fx):
-        g = fx.graph_g
-        single = MultiSketch(g, {"j": monic_stmt(g, "b")})
-        given = {"j": "i1"}
-        to1 = MultiSketchMorphism(single, self._monic_pair(fx), identity(g),
-                                  given)
-        given["j"] = "i2"
-        with pytest.raises(TypeError):
-            to1.id_map["j"] = "i2"
-        assert to1.id_map == {"j": "i1"}
-        # the legs of the constructions are read-only too
-        d, left, right = multi_pushout(to1, to1)
-        dm, _ = multi_pullback(left, right)[1:]
-        for leg in (left, right, dm):
-            with pytest.raises(TypeError):
-                leg.id_map[next(iter(leg.id_map))] = "x"
-
-    def test_morphisms_hash_by_value(self, fx):
-        g = fx.graph_g
-        single = MultiSketch(g, {"j": monic_stmt(g, "b")})
-
-        def to(i):
-            return MultiSketchMorphism(single, self._monic_pair(fx),
-                                       identity(g), {"j": i})
-
-        assert to("i1") == to("i1") and hash(to("i1")) == hash(to("i1"))
-        assert to("i1") != to("i2")
-        assert len({to("i1"), to("i1"), to("i2")}) == 2
-        d, left, right = multi_pushout(to("i1"), to("i2"))
-        again = MultiSketchMorphism(left.dom, left.cod, left.morphism,
-                                    dict(left.id_map))
-        assert again == left and hash(again) == hash(left)
-
-    def test_distinct_ids_with_equal_statements_stay_distinct(self, fx):
-        ms = self._monic_pair(fx)
-        ident = MultiSketchMorphism(ms, ms, identity(fx.graph_g),
-                                    {"i1": "i1", "i2": "i2"})
-        d, left, right = multi_pushout(ident, ident)
-        assert len(d.ids) == 2
-
-    def test_pushout_merges_identified_statements(self, fx):
-        g = fx.graph_g
-        single = MultiSketch(g, {"j": monic_stmt(g, "b")})
-        pair = self._monic_pair(fx)
-        to1 = MultiSketchMorphism(single, pair, identity(g), {"j": "i1"})
-        to2 = MultiSketchMorphism(single, pair, identity(g), {"j": "i2"})
-        d, left, right = multi_pushout(to1, to2)
-        # j identifies the left copy of i1 with the right copy of i2; the
-        # other two copies survive on their own, giving three classes
-        assert len(d.ids) == 3
-        assert left.id_map["i1"] == right.id_map["i2"]
-
-    def test_empty_ids_reduce_to_context_pushout(self, fx):
-        g = fx.graph_g
-        ms = MultiSketch(g, {})
-        ident = MultiSketchMorphism(ms, ms, identity(g), {})
-        d, _, _ = multi_pushout(ident, ident)
-        assert d.ids == frozenset()
-
-    def test_pullback_singleton_pair(self, fx):
-        g = fx.graph_g
-        base = MultiSketch(g, {"k": monic_stmt(g, "b"),
-                               "l": monic_stmt(g, "g")})
-        left = MultiSketch(g, {"x": monic_stmt(g, "b")})
-        right = MultiSketch(g, {"y": monic_stmt(g, "b")})
-        m = MultiSketchMorphism(left, base, identity(g), {"x": "k"})
-        r = MultiSketchMorphism(right, base, identity(g), {"y": "k"})
-        d, dm, dr = multi_pullback(m, r)
-        assert d.ids == frozenset({"x|y"})
-        s = d.stm["x|y"]
-        assert s.predicate is MONIC
-        assert s.binding.edge_map == {"e": "b|b"}
-
-    def test_pullback_ids_with_bars_stay_apart(self, fx):
-        # unescaped, the pairs (a|b, c) and (a, b|c) would share one name
-        g = fx.graph_g
-        s = monic_stmt(g, "b")
-        base = MultiSketch(g, {"k": s})
-        left = MultiSketch(g, {"a|b": s, "a": s})
-        right = MultiSketch(g, {"c": s, "b|c": s})
-        m = MultiSketchMorphism(left, base, identity(g), {"a|b": "k", "a": "k"})
-        r = MultiSketchMorphism(right, base, identity(g), {"c": "k", "b|c": "k"})
-        d, dm, dr = multi_pullback(m, r)
-        assert len(d.ids) == 4
-        assert {(dm.id_map[p], dr.id_map[p]) for p in d.ids} == {
-            (i, j) for i in left.ids for j in right.ids}
-
-    def test_pullback_incompatible_pair_is_empty(self, fx):
-        g = fx.graph_g
-        base = MultiSketch(g, {"k": monic_stmt(g, "b"),
-                               "l": monic_stmt(g, "g")})
-        left = MultiSketch(g, {"x": monic_stmt(g, "b")})
-        right = MultiSketch(g, {"y": monic_stmt(g, "g")})
-        m = MultiSketchMorphism(left, base, identity(g), {"x": "k"})
-        r = MultiSketchMorphism(right, base, identity(g), {"y": "l"})
-        d, _, _ = multi_pullback(m, r)
-        assert d.ids == frozenset()
 
 
 def enumerated_pullback(m, r):
