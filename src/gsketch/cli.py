@@ -17,14 +17,13 @@ from typing import List, Optional, Tuple
 from .category import initial_morphism
 from .conditions import (Constraint, EvaluationBudgetExceeded, Forall,
                          Verdict, check_constraint, iter_violations)
-from .deduction import (CertificationError, ConstrainedSketch, RuleShapeError,
-                        conj_elim, conj_intro, modus_ponens,
-                        repair_to_fixpoint, skolemize, statement_to_constraint,
-                        universal_elim)
-from .dsl import (Document, ParseError, Parser, ResolutionError,
-                  ValidationError, format_condition, parse_files,
-                  print_document, read_source)
-from .graphs import GraphMorphism, MismatchError, identity
+from .deduction import (ConstrainedSketch, conj_elim, conj_intro,
+                        modus_ponens, repair_to_fixpoint, skolemize,
+                        statement_to_constraint, universal_elim)
+from .dsl import (ConstraintDecl, Document, ParseError, Parser,
+                  ResolutionError, ValidationError, format_condition,
+                  parse_files, print_document, read_source)
+from .graphs import GraphMorphism, MismatchError
 from .sketches import Sketch, SketchMorphism, sketch_pullback, sketch_pushout
 from .translation import translate_condition
 
@@ -51,23 +50,19 @@ def _sketch_document(doc: Document, name: str, sketch: Sketch) -> str:
 
 
 def _target_sketch(doc: Document, args,
-                   constraint: Optional[str] = None) -> Tuple[str, Sketch]:
+                   decl: Optional[ConstraintDecl] = None) -> Tuple[str, Sketch]:
     """The name and value of the sketch given by ``--sketch`` or else the
-    only one that the anchor of the named ``constraint`` lands in, or else
-    the only one."""
+    only one that the anchor of the constraint ``decl`` lands in, or else
+    the only one.  The errors leave naming the constraint to the caller."""
     if getattr(args, "sketch", None):
         return args.sketch, doc.lookup("sketch", args.sketch)
-    decl = doc.constraints.get(constraint)
     if decl is not None and decl.anchor is not None:
         fits = [(name, sk) for name, sk in doc.sketches.items()
                 if sk.context == decl.anchor.cod]
-        if len(fits) == 1:
-            return fits[0]
-        if not fits:
-            raise InputError("constraint %r: no sketch matches the constraint "
-                             "anchor; pass --sketch" % constraint)
-        raise InputError("constraint %r: several sketches match the "
-                         "constraint anchor; pass --sketch" % constraint)
+        if len(fits) != 1:
+            raise InputError("%s the constraint anchor; pass --sketch" % (
+                "several sketches match" if fits else "no sketch matches"))
+        return fits[0]
     if len(doc.sketches) == 1:
         return next(iter(doc.sketches.items()))
     raise InputError("document has %d sketches; pass --sketch"
@@ -81,12 +76,14 @@ def cmd_check(doc: Document, args) -> int:
     targets = []
     for name in names:
         decl = doc.lookup("constraint", name)
-        sketch_name, sketch = _target_sketch(doc, args, name)
         try:
-            targets.append((name, sketch, decl.resolve(sketch.context)))
-        except ResolutionError:
-            raise InputError("constraint %r: anchor does not land in sketch %r"
-                             % (name, sketch_name)) from None
+            sketch_name, sketch = _target_sketch(doc, args, decl)
+            if decl.anchor is not None and decl.anchor.cod != sketch.context:
+                raise InputError("anchor does not land in sketch %r"
+                                 % sketch_name)
+        except InputError as exc:
+            raise InputError("constraint %r: %s" % (name, exc)) from None
+        targets.append((name, sketch, decl.resolve(sketch.context)))
     reports = []
     all_hold = True
     for name, sketch, k in targets:
@@ -204,14 +201,20 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
       intro NAME... as NAME
       split NAME as PREFIX
       inst PRED via {x -> y, ...} def COND as NAME
+    A DSL :class:`Parser` reads each line and locates syntax errors, unknown
+    names and bound result names (``split`` binds PREFIX_1, PREFIX_2, ...);
+    a step that does not apply is reported at its line.
     """
     store: dict = {}
     state = ConstrainedSketch(sketch)
 
-    def constraint(name):
-        if name not in store:
-            raise InputError("unknown deduced constraint %r" % name)
-        return store[name]
+    def constraint(p):
+        """Read the name of a deduced constraint."""
+        tok = p.peek()
+        with p.building(tok):
+            if p.expect_name() not in store:
+                raise InputError("unknown deduced constraint %r" % tok.value)
+        return store[tok.value]
 
     def bind(name, k):
         nonlocal state
@@ -219,9 +222,9 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
         store[name] = k
 
     def result_name(p):
-        """Parse the closing ``as NAME`` of a command line."""
+        """Read the closing ``as NAME`` of a command line; NAME is new."""
         p.expect("as")
-        name = p.expect_name()
+        name = p.new_name(store, "constraint").value
         if p.peek().kind != "eof":
             p.unexpected("end of line")
         return name
@@ -233,24 +236,24 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
                 continue
             op = p.expect_name()
             if op == "assume":
-                cond = doc.lookup("condition", p.expect_name())
+                cond = p.resolve("condition")
                 if p.accept("initial"):
                     anchor = initial_morphism(state.sketch.context)
                 else:
-                    anchor = doc.lookup("morphism", p.expect_name())
+                    anchor = p.resolve("morphism")
                 bind(result_name(p), Constraint(cond, anchor))
             elif op == "elim":
-                k = constraint(p.expect_name())
+                k = constraint(p)
                 p.expect("via")
-                t = doc.lookup("morphism", p.expect_name())
+                t = p.resolve("morphism")
                 bind(result_name(p), universal_elim(k, t))
             elif op == "mp":
-                k = constraint(p.expect_name())
+                k = constraint(p)
                 p.expect("with")
-                guard = constraint(p.expect_name())
+                guard = constraint(p)
                 bind(result_name(p), modus_ponens(k, guard))
             elif op == "skolem":
-                k = constraint(p.expect_name())
+                k = constraint(p)
                 new_name = result_name(p)
                 # the working sketch changes; earlier certifications stay in
                 # the store but concern the pre-skolemization sketch
@@ -258,31 +261,35 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
                 state = ConstrainedSketch(h)
                 bind(new_name, new)
             elif op == "intro":
-                parts = [constraint(p.expect_name())]
+                parts = [constraint(p)]
                 while not p.at("as"):
-                    parts.append(constraint(p.expect_name()))
+                    parts.append(constraint(p))
                 bind(result_name(p), conj_intro(parts))
             elif op == "split":
-                k = constraint(p.expect_name())
-                prefix = result_name(p)
+                k = constraint(p)
+                p.expect("as")
+                prefix = p.peek()
+                p.expect_name()
+                if p.peek().kind != "eof":
+                    p.unexpected("end of line")
                 for i, part in enumerate(conj_elim(k), start=1):
-                    bind("%s_%d" % (prefix, i), part)
+                    name = "%s_%d" % (prefix.value, i)
+                    with p.building(prefix):
+                        if name in store:
+                            raise InputError("duplicate constraint name %r"
+                                             % name)
+                    bind(name, part)
             elif op == "inst":
                 s = p.parse_statement(state.sketch.context)
                 p.expect("def")
-                definition = doc.lookup("condition", p.expect_name())
+                definition = p.resolve("condition")
                 if not state.sketch.holds(s.predicate, s.key):
                     raise InputError("statement is not in the sketch")
-                bind(result_name(p), statement_to_constraint(
-                    s, definition, identity(s.predicate.arity)))
+                bind(result_name(p), statement_to_constraint(s, definition))
             else:
                 raise InputError("unknown deduction command %r" % op)
-        except ParseError as exc:
-            raise InputError("line %d: malformed command (%s)"
-                             % (lineno, raw.split("#", 1)[0].strip())) from exc
-        except (InputError, MismatchError, RuleShapeError, CertificationError,
-                ResolutionError, ValidationError) as exc:
-            # the parser locates its errors on this line already
+        except ValueError as exc:
+            # every input error is one; the parser locates its errors already
             message = str(exc)
             if not message.startswith("line %d, column " % lineno):
                 message = "line %d: %s" % (lineno, message)

@@ -272,8 +272,8 @@ def _eval(t, g, c, budget) -> Verdict:
 
 
 def check_constraint(g: Sketch, k: Constraint) -> Verdict:
-    if k.anchor.cod != g.context:
-        raise MismatchError("constraint anchor does not land in the sketch context")
+    """Whether ``k`` holds on ``g``: :func:`satisfies` at its anchor, which
+    must land in the sketch context."""
     return satisfies(k.anchor, g, k.condition)
 
 

@@ -70,6 +70,15 @@ def _statement_set(cond: Condition):
     return None
 
 
+def _rule_adding(lhs: Sketch, shift: GraphMorphism, body: Condition) -> Rule:
+    """The rule along ``shift`` whose rhs adds the statements of ``body``, a
+    statement conjunction."""
+    added = _statement_set(body)
+    if added is None:
+        raise RuleShapeError("existential body must be a statement conjunction")
+    return Rule.build(lhs, shift, added)
+
+
 def rule_from_condition(cond: Condition) -> Rule:
     """Extract a rule from a universally-constrained closed condition.
 
@@ -87,20 +96,12 @@ def rule_from_condition(cond: Condition) -> Rule:
     premise = _statement_set(body.guard)
     if premise is None:
         raise RuleShapeError("existential guard must be a statement conjunction")
-    l_ctx = body.context
-    lhs = Sketch(l_ctx, premise)
+    lhs = Sketch(body.context, premise)
     inner = body.body
-    if body.shift == identity(l_ctx) and isinstance(inner, Exists) \
+    if body.shift == identity(body.context) and isinstance(inner, Exists) \
             and isinstance(inner.guard, Top):
-        conclusion = _statement_set(inner.body)
-        if conclusion is None:
-            raise RuleShapeError(
-                "inner existential body must be a statement conjunction")
-        return Rule.build(lhs, inner.shift, conclusion)
-    conclusion = _statement_set(inner)
-    if conclusion is None:
-        raise RuleShapeError("existential body must be a statement conjunction")
-    return Rule.build(lhs, body.shift, conclusion)
+        return _rule_adding(lhs, inner.shift, inner.body)
+    return _rule_adding(lhs, body.shift, inner)
 
 
 def find_matches(rule: Rule, g: Sketch) -> list:
@@ -202,23 +203,22 @@ def skolemize(k: Constraint, g: Sketch):
     """Materialize an unguarded existential constraint by a sketch pushout.
 
     The condition must be exists(a: L -> R, S2) with S2 a statement
-    conjunction.  Returns ``(H, (S2, t_star), a_star: G -> H)``; the new
-    constraint is certified on H by construction.
+    conjunction.  The constraint is applied as the rule a: (L, {}) -> (R, S2)
+    at its anchor, by the pushout step of repair.  Returns
+    ``(H, (S2, t_star), a_star: G -> H)``; the new constraint is certified on
+    H by construction.
     """
     cond = k.condition
     if not (isinstance(cond, Exists) and isinstance(cond.guard, Top)):
         raise RuleShapeError("skolemization needs an unguarded existential")
-    added = _statement_set(cond.body)
-    if added is None:
-        raise RuleShapeError("existential body must be a statement conjunction")
+    rule = _rule_adding(Sketch(cond.context), cond.shift, cond.body)
     if k.anchor.cod != g.context:
         raise MismatchError("constraint is not anchored in the sketch context")
-    lhs = Sketch(cond.shift.dom)
-    rule = Rule.build(lhs, cond.shift, added)
-    t = SketchMorphism(lhs, g, k.anchor)
-    h, t_star, a_star = sketch_pushout(rule, t)
-    new = Constraint(statements_conj(rule.rhs.context, added), t_star.morphism)
-    return h, new, a_star
+    # the rule's lhs has no statements, so every anchor preserves them
+    h, a_star, t_star = _apply(rule, k.anchor, g)
+    rhs = rule.rhs
+    return h, Constraint(statements_conj(rhs.context, rhs.statements),
+                         t_star.morphism), a_star
 
 
 def conj_intro(ks) -> Constraint:
@@ -240,19 +240,17 @@ def conj_elim(k: Constraint) -> list:
     return [Constraint(child, k.anchor) for child in k.condition.children]
 
 
-def statement_to_constraint(s: Statement, definition: Condition,
-                            c: GraphMorphism) -> Constraint:
+def statement_to_constraint(s: Statement, definition: Condition) -> Constraint:
     """Instantiate a predicate's defining condition at a statement's binding.
 
-    Returns (definition, c;binding).  Not automatically certified: this is
-    the step that injects predicate meaning and may surface implicit
-    knowledge, so the caller checks.
+    Returns (definition, binding); the definition lives over the predicate's
+    arity.  Not automatically certified: this is the step that injects
+    predicate meaning and may surface implicit knowledge, so the caller
+    checks.
     """
-    if definition.context != c.dom:
-        raise MismatchError("defining condition must live over the morphism domain")
-    if c.cod != s.predicate.arity:
-        raise MismatchError("morphism must land in the predicate arity")
-    return Constraint(definition, compose(c, s.binding))
+    if definition.context != s.predicate.arity:
+        raise MismatchError("defining condition must live over the predicate arity")
+    return Constraint(definition, s.binding)
 
 
 def cstr_translate(phi: SketchMorphism, k: Constraint) -> Constraint:
@@ -262,34 +260,21 @@ def cstr_translate(phi: SketchMorphism, k: Constraint) -> Constraint:
     return Constraint(k.condition, compose(k.anchor, phi.morphism))
 
 
+@dataclass(frozen=True)
 class ConstrainedSketch:
-    """A sketch with a store of constraints certified to hold on it."""
+    """A sketch with a store of constraints certified to hold on it: each
+    constraint is checked when it enters the store."""
+    sketch: Sketch
+    constraints: frozenset = frozenset()
 
-    __slots__ = ("sketch", "constraints", "certified")
-
-    def __init__(self, sketch: Sketch, constraints: Iterable[Constraint] = (),
-                 *, _certified: bool = True):
-        constraints = frozenset(constraints)
-        for k in constraints:
-            if k.anchor.cod != sketch.context:
-                raise MismatchError("constraint is not anchored in the sketch")
-            if _certified and not check_constraint(sketch, k).holds:
+    def __post_init__(self):
+        object.__setattr__(self, "constraints", frozenset(self.constraints))
+        for k in self.constraints:
+            if not check_constraint(self.sketch, k).holds:
                 raise CertificationError("constraint does not hold on the sketch")
-        object.__setattr__(self, "sketch", sketch)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "certified", _certified)
-
-    @classmethod
-    def unchecked(cls, sketch: Sketch,
-                  constraints: Iterable[Constraint] = ()) -> "ConstrainedSketch":
-        """Hypothesis store: constraints are NOT certified to hold."""
-        return cls(sketch, constraints, _certified=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstrainedSketch is immutable")
 
     def with_constraint(self, k: Constraint) -> "ConstrainedSketch":
         """The store plus ``k``; only ``k`` is checked, the rest already was."""
-        out = ConstrainedSketch(self.sketch, [k], _certified=self.certified)
-        object.__setattr__(out, "constraints", self.constraints | {k})
-        return out
+        ConstrainedSketch(self.sketch, [k])  # certifies k
+        return unchecked(ConstrainedSketch, sketch=self.sketch,
+                         constraints=self.constraints | {k})

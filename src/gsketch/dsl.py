@@ -94,12 +94,8 @@ class Document:
     constraints: Dict[str, ConstraintDecl] = field(default_factory=dict)
     rules: Dict[str, Rule] = field(default_factory=dict)
 
-    def predicate(self, name: str,
-                  footprint: Optional[str] = None) -> PredicateSymbol:
-        """The predicate ``name`` of ``footprint`` if that declares it, else
-        of every footprint that does."""
-        if footprint is not None and name in self.footprints[footprint]:
-            return self.footprints[footprint][name]
+    def predicate(self, name: str) -> PredicateSymbol:
+        """The predicate ``name`` of every footprint that declares it."""
         found = [fp[name] for fp in self.footprints.values() if name in fp]
         if not found:
             raise ResolutionError("unknown predicate %r" % name)
@@ -224,13 +220,13 @@ class Parser:
             self.unexpected("a name")
         return self.next().value
 
-    def resolve(self, kind: str, footprint: Optional[str] = None):
+    def resolve(self, kind: str):
         """Read a name and resolve it as a declaration of ``kind`` or a
-        ``"predicate"`` (of ``footprint``); errors name its position."""
+        ``"predicate"`` of any footprint; errors name its position."""
         tok = self.peek()
         name = self.expect_name()
         try:
-            return (self.doc.predicate(name, footprint) if kind == "predicate"
+            return (self.doc.predicate(name) if kind == "predicate"
                     else self.doc.lookup(kind, name))
         except ResolutionError as exc:
             raise ResolutionError(_located(tok, str(exc))) from None
@@ -385,13 +381,15 @@ class Parser:
 
     def parse_statement(self, context: Graph,
                         footprint: Optional[str] = None) -> Statement:
-        """Parse ``PRED via { x -> y, ... }`` into a statement over context;
-        PRED must be a predicate of ``footprint``, if that is given."""
+        """Parse ``PRED via { x -> y, ... }`` into a statement over context.
+        Given ``footprint``, PRED must be one of its predicates; else every
+        footprint that declares PRED must agree on it."""
         tok = self.peek()
-        pred = self.resolve("predicate", footprint)
+        declared = self.doc.footprints.get(footprint, {})
+        pred = (declared[self.expect_name()] if tok.value in declared
+                else self.resolve("predicate"))
         with self.building(tok, "statement"):
-            if (footprint is not None
-                    and pred.name not in self.doc.footprints[footprint]):
+            if footprint is not None and pred.name not in declared:
                 raise MismatchError("the predicate is not in footprint %r"
                                     % footprint)
             self.expect("via")

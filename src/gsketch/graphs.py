@@ -140,28 +140,35 @@ class GraphMorphism:
 
     ``node_map`` and ``edge_map`` are read-only views of private copies.
     Equality compares the maps and the endpoints, and so does the hash.
+
+    The constructor raises ``MismatchError`` on maps that are not total on
+    the domain, leave the codomain or break incidence, naming the least
+    offending element; nodes are checked first, and incidence last.
     """
 
     __slots__ = ("dom", "cod", "node_map", "edge_map")
 
     def __init__(self, dom: Graph, cod: Graph,
                  node_map: Mapping[str, str], edge_map: Mapping[str, str]):
-        for n in dom.nodes:
-            if n not in node_map:
-                raise MismatchError("node %r of the domain is unmapped" % n)
-            if node_map[n] not in cod.nodes:
-                raise MismatchError("node %r maps outside the codomain" % n)
-        for e in dom.edges:
-            if e not in edge_map:
-                raise MismatchError("edge %r of the domain is unmapped" % e)
-            if edge_map[e] not in cod.edges:
-                raise MismatchError("edge %r maps outside the codomain" % e)
+        for kind, xs, m, targets in (("node", dom.nodes, node_map, cod.nodes),
+                                     ("edge", dom.edges, edge_map, cod.edges)):
+            for x in sorted(xs):
+                if x not in m:
+                    raise MismatchError("%s %r of the domain is unmapped"
+                                        % (kind, x))
+                if m[x] not in targets:
+                    raise MismatchError("%s %r maps outside the codomain"
+                                        % (kind, x))
+            # every element of the domain is a key, so a longer map has others
+            if len(m) != len(xs):
+                raise MismatchError("the %s map names %r, which is not in the "
+                                    "domain" % (kind, min(m.keys() - xs)))
+        for e in sorted(dom.edges):
             if node_map[dom.src[e]] != cod.src[edge_map[e]] or \
                node_map[dom.tgt[e]] != cod.tgt[edge_map[e]]:
                 raise MismatchError(
                     "edge %r: image does not respect source/target" % e)
-        self._own(dom, cod, {n: node_map[n] for n in dom.nodes},
-                  {e: edge_map[e] for e in dom.edges})
+        self._own(dom, cod, dict(node_map), dict(edge_map))
 
     @classmethod
     def _trusted(cls, dom: Graph, cod: Graph, node_map: dict,

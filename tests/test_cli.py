@@ -150,7 +150,8 @@ class TestCheckResolution:
         ("corpus", ["--sketch", "Gprime"], None,
          "constraint 'k_phi1_t1': anchor does not land in sketch 'Gprime'"),
         # k_phi1_t1 and k_phi1_t2 pick G; k_phi2 has an initial anchor
-        ("corpus", [], None, "document has 6 sketches; pass --sketch"),
+        ("corpus", [], None,
+         "constraint 'k_phi2': document has 6 sketches; pass --sketch"),
         ("corpus", ["--constraint", "k_lone"],
          b"graph Lone { nodes a b c; edges x: a -> b, y: b -> c; }\n"
          b"morphism into_lone : K1 -> Lone { edges e1 -> x, e2 -> y; }\n"
@@ -343,18 +344,40 @@ class TestDeduce:
         script.write_text("assume phi3 initial as unique\n"
                           "assume phi4 initial as final_monic\n"
                           "intro unique final_monic as both\n"
-                          "split both as part\n")
+                          "split both as both\n")
         code = main(["deduce", *corpus, "--sketch", "Gprime",
                      "--script", str(script)])
         assert code == 0
-        # each store entry prints as "NAME: anchor {...}" and a document
+        # each store entry prints as "NAME: anchor {...}" and a document;
+        # split binds both_1 and both_2, not its prefix, which may be bound
         printed = dict(re.findall(r"^(\w+): anchor \{\}\n(.*?)(?=^\w+: |\Z)",
                                   capsys.readouterr().out, re.M | re.S))
         assert list(printed) == ["unique", "final_monic", "both",
-                                 "part_1", "part_2"]
-        assert printed["part_1"] == printed["unique"]
-        assert printed["part_2"] == printed["final_monic"]
+                                 "both_1", "both_2"]
+        assert printed["both_1"] == printed["unique"]
+        assert printed["both_2"] == printed["final_monic"]
         assert "condition result over Empty = and(" in printed["both"]
+
+    @pytest.mark.parametrize("lines, message", [
+        (["assume phi3 initial as a", "assume phi3 initial as a"],
+         "line 2, column 24: duplicate constraint name 'a'"),
+        (["assume phi3 initial as both_2", "assume phi4 initial as m",
+          "intro both_2 m as both", "split both as both"],
+         "line 4, column 15: duplicate constraint name 'both_2'"),
+        (["assume phi3 initial as unique", "elim unique WRONG t3 as x"],
+         "line 2, column 13: found 'WRONG' (expected 'via')"),
+        (["elim nope via t3 as x"],
+         "line 1, column 6: unknown deduced constraint 'nope'"),
+    ])
+    def test_script_error_is_located(self, corpus, tmp_path, capsys, lines,
+                                     message):
+        script = tmp_path / "script.txt"
+        script.write_text("\n".join(lines) + "\n")
+        code = main(["deduce", *corpus, "--sketch", "Gprime",
+                     "--script", str(script)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: %s\n" % message
 
     @pytest.mark.parametrize("line, message", [
         ("inst monic via { e -> a } def phi7 as x",
@@ -377,7 +400,7 @@ class TestDeduce:
                      "--script", str(script)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: line 1: unknown condition 'nope'\n"
+        assert err == "error: line 1, column 8: unknown condition 'nope'\n"
 
     def test_unknown_name_in_a_step_is_located_on_its_line(self, corpus,
                                                             tmp_path, capsys):
@@ -404,7 +427,8 @@ class TestDeduce:
             return original(text, *args)
 
         monkeypatch.setattr(dsl, "_tokenize", counting)
-        with pytest.raises(cli.InputError, match="^line 202: malformed "):
+        with pytest.raises(cli.InputError,
+                           match="^line 202, column 13: found 'WRONG' "):
             cli._run_deduce_script(doc, doc.sketches["Gprime"], lines)
         assert sum(map(len, handed)) <= len("\n".join(lines))
 

@@ -538,8 +538,7 @@ class TestDeductionOps:
         # instantiating monic's defining condition at psi4 produces a claim
         # that still has to be checked against the sketch
         out = statement_to_constraint(fx.statements["psi4"],
-                                      fx.conditions["phi7"],
-                                      identity(MONIC.arity))
+                                      fx.conditions["phi7"])
         assert out.anchor == fx.statements["psi4"].binding
         assert check_constraint(fx.sketch_g, out).holds  # true here, by luck
 
@@ -559,17 +558,12 @@ class TestConstrainedSketch:
     def test_certifies_on_construction(self, fx):
         good = Constraint(fx.conditions["phi4"], initial_morphism(fx.graph_g))
         cs = ConstrainedSketch(fx.sketch_g, [good])
-        assert cs.certified and good in cs.constraints
+        assert cs.constraints == frozenset([good])
 
     def test_rejects_failing_constraint(self, fx):
         bad = Constraint(fx.conditions["phi2"], initial_morphism(fx.graph_g))
         with pytest.raises(CertificationError):
             ConstrainedSketch(fx.sketch_g, [bad])
-
-    def test_unchecked_store_admits_hypotheses(self, fx):
-        bad = Constraint(fx.conditions["phi2"], initial_morphism(fx.graph_g))
-        cs = ConstrainedSketch.unchecked(fx.sketch_g, [bad])
-        assert not cs.certified
 
     def test_with_constraint_rechecks(self, fx):
         cs = ConstrainedSketch(fx.sketch_g)
@@ -593,16 +587,11 @@ class TestConstrainedSketch:
         k1 = Constraint(fx.conditions["phi1"], fx.t1)
         cs = cs.with_constraint(k1)
         assert checked[2:] == [k1]
-        assert cs.certified and cs.constraints == frozenset(ks + [k1])
-        # a hypothesis store checks anchors only
-        bad = Constraint(fx.conditions["phi2"], bang)
-        hyp = ConstrainedSketch.unchecked(fx.sketch_g, ks).with_constraint(bad)
-        assert len(checked) == 3 and not hyp.certified
-        assert hyp.constraints == frozenset(ks + [bad])
+        assert cs.constraints == frozenset(ks + [k1])
         elsewhere = Constraint(fx.conditions["phi2"],
                                initial_morphism(fx.sketch_g_prime.context))
         with pytest.raises(MismatchError):
-            hyp.with_constraint(elsewhere)
+            cs.with_constraint(elsewhere)
 
     def test_immutable(self, fx):
         cs = ConstrainedSketch(fx.sketch_g)

@@ -61,6 +61,12 @@ REJECTED = {
                "sketch S over F2 on Arrow { stmt monic via { e -> e }; }",
         "line 6, column 34: statement 'monic': the predicate is not in "
         "footprint 'F2'"),
+    # every node maps outside the codomain; the least is named
+    "morphism-least-node": (
+        "graph A { nodes a b c d; }\ngraph B { nodes p; }\n"
+        "morphism m : A -> B { nodes a -> q, b -> q, c -> q, d -> q; }",
+        "line 3, column 10: morphism 'm': node 'a' maps outside the "
+        "codomain"),
 }
 
 # An element-map entry the parser rejects, with its message, located at the

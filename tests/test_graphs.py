@@ -183,6 +183,29 @@ def test_morphism_constructor_rejects(nodes, edges, message):
     assert str(err.value) == message
 
 
+FOUR = graph_of("a b c d")
+PARALLEL = graph_of("", "p:1->2 q:1->2")
+
+
+@pytest.mark.parametrize("dom, nodes, edges, message", [
+    # each node offends; the least is named, whatever the set order
+    (FOUR, {n: "q" for n in "abcd"}, {}, "node 'a' maps outside the codomain"),
+    (FOUR, {}, {}, "node 'a' of the domain is unmapped"),
+    (FOUR, {"d": "x", "b": "y"}, {}, "node 'a' of the domain is unmapped"),
+    (FOUR, {"a": "x", "b": "x", "c": "x", "d": "x", "zz": "x", "yy": "x"}, {},
+     "the node map names 'yy', which is not in the domain"),
+    (FOUR, {n: "x" for n in "abcd"}, {"e": "b"},
+     "the edge map names 'e', which is not in the domain"),
+    (PARALLEL, {"1": "x", "2": "y"}, {"q": "zz", "p": "zz"},
+     "edge 'p' maps outside the codomain"),
+])
+def test_morphism_constructor_names_the_least_offender(dom, nodes, edges,
+                                                       message):
+    with pytest.raises(MismatchError) as err:
+        GraphMorphism(dom, CYCLE, nodes, edges)
+    assert str(err.value) == message
+
+
 class TestMorphismOf:
     def test_infers_nodes_from_edges(self):
         t = morphism_of(K1, G, edges={"e1": "a", "e2": "b"})
