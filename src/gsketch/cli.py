@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 a checked constraint fails, 2 input/usage error,
 evaluation step budget was exhausted.  ``check`` resolves every constraint,
 its target sketch and its anchor, before it prints anything, so an input
 error leaves stdout empty.
+
+:func:`main` builds its argument parser on its first call and reuses it in
+later calls; :func:`build_parser` returns a new one on each call.  Nothing
+else is kept across calls: each reads and parses its files afresh.
 """
 from __future__ import annotations
 
@@ -308,6 +312,7 @@ def cmd_deduce(doc: Document, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new argument parser for the command line."""
     parser = argparse.ArgumentParser(
         prog="gsketch",
         description="Check, repair, translate and deduce constraints on "
@@ -359,9 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built by its first call: parsing arguments leaves a parser
+# as it was, and its program name is fixed
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         doc = parse_files(args.files)
         return args.func(doc, args)

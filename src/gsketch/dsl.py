@@ -16,7 +16,6 @@ after one print/parse pass.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -45,6 +44,10 @@ class ResolutionError(ValueError):
 
 class ValidationError(ValueError):
     pass
+
+
+# the errors whose messages carry their line and column
+_LOCATED = (ParseError, ResolutionError, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -135,40 +138,69 @@ class _Token(NamedTuple):
     col: int
 
 
-# One alternative per lexical class; the first that matches wins.
-_LEXEME = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<skip>[ \t\r]+|\#[^\n]*)
-  | (?P<sym>->|[{}():;,.=])
-  | (?P<quoted>"[^"\n]*")
-  | (?P<ident>\w+)
-  | (?P<unterminated>")
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# Each match is the blanks and the comment before a lexeme (group 1, so the
+# lexeme starts at its end) and then one alternative per lexical class, the
+# first that matches winning; the named group that matched is the kind and
+# holds the value.  Blanks and a comment that end the text match alone.  A
+# Parser lexes its text once, when it is built, and no tokens are kept
+# across parses.
+_LEXEME = re.compile(r'([ \t\r]*(?:#[^\n]*)?)'
+                     r'(?:(?P<newline>\n)'
+                     r'|(?P<sym>->|[{}():;,.=])'
+                     r'|"(?P<quoted>[^"\n]*)"'
+                     r'|(?P<ident>\w+)'
+                     r'|(?P<unterminated>")'
+                     r'|(?P<bad>.))?', re.DOTALL)
+
+# the kinds of match that make no token; None is blanks ending the text
+_NOT_TOKENS = {"newline", "unterminated", "bad", None}
 
 
 def _tokenize(text: str, line: int = 1) -> List[_Token]:
-    """The tokens of ``text``, whose first line is line ``line``."""
+    """The tokens of ``text``, whose first line is line ``line``; one pass
+    of :data:`_LEXEME` over the text."""
     tokens = []
-    line_start = 0
+    append, new = tokens.append, tuple.__new__
+    base = -1  # the offset of the current line's first character, less one
     for m in _LEXEME.finditer(text):
         kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind != "skip":
-            col = m.start() - line_start + 1
-            if kind == "unterminated":
-                raise ParseError("unterminated quoted name", line, col)
-            if kind == "bad":
-                raise ParseError("unexpected character %r" % m.group(), line, col)
-            value = m.group()[1:-1] if kind == "quoted" else m.group()
-            tokens.append(_Token(kind, value, line, col))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+        if kind in _NOT_TOKENS:
+            if kind == "newline":
+                line, base = line + 1, m.end() - 1
+            elif kind == "unterminated":
+                raise ParseError("unterminated quoted name", line,
+                                 m.end(1) - base)
+            elif kind == "bad":
+                raise ParseError("unexpected character %r" % m["bad"], line,
+                                 m.end(1) - base)
+            continue
+        append(new(_Token, (kind, m[kind], line, m.end(1) - base)))
+    append(new(_Token, ("eof", "", line, len(text) - base)))
     return tokens
 
 
 def _located(tok: _Token, message: str) -> str:
     return "line %d, column %d: %s" % (tok.line, tok.col, message)
+
+
+class _Building:
+    """The context manager of :meth:`Parser.building`."""
+
+    __slots__ = ("tok", "kind")
+
+    def __init__(self, tok: _Token, kind: Optional[str]):
+        self.tok, self.kind = tok, kind
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, exc_type, exc, tb):
+        if (exc is None or not isinstance(exc, ValueError)
+                or isinstance(exc, _LOCATED)):
+            return False
+        tok = self.tok
+        what = "" if self.kind is None else "%s %r: " % (self.kind, tok.value)
+        raise ValidationError(_located(tok, what + str(exc))) from exc
 
 
 class Parser:
@@ -195,30 +227,38 @@ class Parser:
 
     def unexpected(self, *expected: str):
         """Reject the next token, naming what would have been legal there."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         found = "end of input" if tok.kind == "eof" else tok.value
         raise ParseError("found %r" % found, tok.line, tok.col, expected)
 
+    # at, accept, expect and expect_name read the token list directly: they
+    # run once or more per token
+
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind != "quoted" and tok.value == value
+        tok = self.tokens[self.pos]
+        return tok.value == value and tok.kind != "quoted"
 
     def accept(self, value: str) -> bool:
         """Consume the next token if it is ``value``."""
-        if self.at(value):
+        tok = self.tokens[self.pos]
+        if tok.value == value and tok.kind != "quoted":
             self.pos += 1
             return True
         return False
 
     def expect(self, value: str) -> _Token:
-        if not self.at(value):
+        tok = self.tokens[self.pos]
+        if tok.value != value or tok.kind == "quoted":
             self.unexpected(repr(value))
-        return self.next()
+        self.pos += 1
+        return tok
 
     def expect_name(self) -> str:
-        if self.peek().kind not in ("ident", "quoted"):
+        tok = self.tokens[self.pos]
+        if tok.kind not in ("ident", "quoted"):
             self.unexpected("a name")
-        return self.next().value
+        self.pos += 1
+        return tok.value
 
     def resolve(self, kind: str):
         """Read a name and resolve it as a declaration of ``kind`` or a
@@ -231,19 +271,12 @@ class Parser:
         except ResolutionError as exc:
             raise ResolutionError(_located(tok, str(exc))) from None
 
-    @contextmanager
-    def building(self, tok: _Token, kind: Optional[str] = None):
+    def building(self, tok: _Token, kind: Optional[str] = None) -> "_Building":
         """Report a ValueError raised in the block, unless it is located
         already, as a ValidationError located at ``tok``, which opened the
         construction, and, given ``kind``, prefixed with the kind and the
         token's name."""
-        try:
-            yield
-        except (ParseError, ResolutionError, ValidationError):
-            raise
-        except ValueError as exc:
-            what = "" if kind is None else "%s %r: " % (kind, tok.value)
-            raise ValidationError(_located(tok, what + str(exc))) from exc
+        return _Building(tok, kind)
 
     def new_name(self, taken, kind: str) -> _Token:
         """Read a name that ``taken`` does not hold yet; a repeat is a

@@ -472,3 +472,46 @@ class TestDeduce:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser on its first call and reuses it;
+    every call behaves as in a fresh process."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, corpus, capsys,
+                                                        monkeypatch):
+        # the help text wraps at the terminal width; fix it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_parser", None)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        codes = []
+        for argv in (["repair", *corpus],  # a usage error: --rules missing
+                     ["--help"],
+                     ["check", *corpus, "--all", "--sketch", "G", "--json"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "gsketch.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert (code, captured.out, captured.err) == \
+                (proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(code)
+        assert codes == [2, 0, 1]
+
+    def test_build_parser_returns_a_new_parser(self, corpus, capsys):
+        assert main(["check", *corpus, "--all", "--sketch", "G"]) == 1
+        edited = cli.build_parser()
+        assert edited is not cli.build_parser()
+        edited.prog = "edited"
+        edited.add_argument("--extra")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out.startswith("usage: gsketch ") and "--extra" not in out

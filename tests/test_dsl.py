@@ -67,6 +67,19 @@ REJECTED = {
         "morphism m : A -> B { nodes a -> q, b -> q, c -> q, d -> q; }",
         "line 3, column 10: morphism 'm': node 'a' maps outside the "
         "codomain"),
+    # every domain edge needs an entry, in a morphism body and in a binding
+    "morphism-unmapped-edge": (
+        "graph A { nodes x y; edges e: x -> y, f: x -> y; }\n"
+        "graph B { nodes p q; edges g: p -> q; }\n"
+        "morphism m : A -> B { edges e -> g; }",
+        "line 3, column 10: morphism 'm': edge 'f' of the domain is "
+        "unmapped"),
+    "statement-unmapped-edge": (
+        "graph Par { nodes v1 v2; edges e: v1 -> v2, f: v1 -> v2; }\n"
+        "footprint P { pred par arity Par; }\n"
+        "sketch S over P on Par { stmt par via { e -> e }; }",
+        "line 3, column 31: statement 'par': edge 'f' of the domain is "
+        "unmapped"),
 }
 
 # An element-map entry the parser rejects, with its message, located at the
@@ -528,26 +541,55 @@ LEXER_PIECES = ["a", "Z", "_", "7", "graph", "nodes", "\u00e9", "\u0416",
                 "="]
 
 
+LEXER_TEXTS = st.lists(st.sampled_from(LEXER_PIECES), max_size=40).map("".join)
+
+
+def _lex(tokenize, text):
+    """The token tuples of ``text``, or the message, line and column of its
+    ParseError."""
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def _forgive_end_comment(text, want, got):
+    """Apply to ``got`` the one allowed difference from the reference
+    lexer: the old lexer did not advance the column over a comment that
+    runs to the end of the input."""
+    if isinstance(want, list) and got[:-1] == want[:-1] \
+            and got[-1] != want[-1]:
+        last_line = text.split("\n")[-1]
+        old_col, new_col = want[-1][3], got[-1][3]
+        assert last_line[old_col - 1] == "#"
+        assert new_col == len(last_line) + 1
+        got[-1] = want[-1]
+
+
 class TestLexer:
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.sampled_from(LEXER_PIECES), max_size=40).map("".join))
+    @given(LEXER_TEXTS)
     def test_matches_character_loop(self, text):
-        def run(tokenize):
-            try:
-                return [tuple(tok) for tok in tokenize(text)]
-            except ParseError as exc:
-                return str(exc), exc.line, exc.col
+        want, got = _lex(_reference_tokenize, text), _lex(_tokenize, text)
+        _forgive_end_comment(text, want, got)
+        assert got == want
 
-        want, got = run(_reference_tokenize), run(_tokenize)
-        if isinstance(want, list) and got[:-1] == want[:-1] \
-                and got[-1] != want[-1]:
-            # the one allowed difference: the old lexer did not advance the
-            # column over a comment that runs to the end of the input
-            last_line = text.split("\n")[-1]
-            old_col, new_col = want[-1][3], got[-1][3]
-            assert last_line[old_col - 1] == "#"
-            assert new_col == len(last_line) + 1
-            got[-1] = want[-1]
+    @settings(max_examples=300, deadline=None)
+    @given(LEXER_TEXTS, st.integers(min_value=1, max_value=10_000))
+    def test_any_start_line_shifts_the_lines(self, text, line):
+        # the deduce runner lexes each script line from its own line number:
+        # lines, also in error messages, move by as much as the start line
+        shift = line - 1
+        want = _lex(_reference_tokenize, text)
+        if isinstance(want, list):
+            want = [(kind, value, at + shift, col)
+                    for kind, value, at, col in want]
+        else:
+            message, at, col = want
+            want = ("line %d, column %d: %s" % (
+                at + shift, col, message.split(": ", 1)[1]), at + shift, col)
+        got = _lex(lambda t: _tokenize(t, line), text)
+        _forgive_end_comment(text, want, got)
         assert got == want
 
 

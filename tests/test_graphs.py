@@ -230,6 +230,28 @@ class TestMorphismOf:
             morphism_of(K1, G, nodes, edges)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("dom, nodes, edges, message", [
+        # the constructor's least-offender cases that morphism_of reaches:
+        # all nodes, or some, map outside the codomain
+        (FOUR, {n: "q" for n in "abcd"}, {}, "node 'a' maps outside the codomain"),
+        (FOUR, {"a": "x", "b": "q", "c": "y", "d": "q"}, {},
+         "node 'b' maps outside the codomain"),
+        # neither edge of a parallel pair is mapped, or only one
+        (PARALLEL, {"1": "x", "2": "y"}, {}, "edge 'p' of the domain is unmapped"),
+        (PARALLEL, {"1": "x", "2": "y"}, {"q": "b"},
+         "edge 'p' of the domain is unmapped"),
+        (PARALLEL, {"1": "x", "2": "y"}, {"p": "b"},
+         "edge 'q' of the domain is unmapped"),
+    ])
+    def test_names_the_constructors_least_offender(self, dom, nodes, edges,
+                                                   message):
+        # morphism_of checks the maps itself; it names what the constructor
+        # names
+        for build in (GraphMorphism, morphism_of):
+            with pytest.raises(MismatchError) as err:
+                build(dom, CYCLE, nodes, edges)
+            assert str(err.value) == message
+
 
 class TestEnumeration:
     def test_single_node_counts_nodes(self):
