@@ -214,11 +214,11 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
 
     def constraint(p):
         """Read the name of a deduced constraint."""
-        tok = p.peek()
-        with p.building(tok):
-            if p.expect_name() not in store:
-                raise InputError("unknown deduced constraint %r" % tok.value)
-        return store[tok.value]
+        with p.building(p.pos):
+            name = p.expect_name()
+            if name not in store:
+                raise InputError("unknown deduced constraint %r" % name)
+        return store[name]
 
     def bind(name, k):
         nonlocal state
@@ -228,15 +228,15 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
     def result_name(p):
         """Read the closing ``as NAME`` of a command line; NAME is new."""
         p.expect("as")
-        name = p.new_name(store, "constraint").value
-        if p.peek().kind != "eof":
+        name = p.new_name(store, "constraint")
+        if not p.at(""):
             p.unexpected("end of line")
         return name
 
     for lineno, raw in enumerate(lines, start=1):
         try:
             p = Parser(raw, doc, lineno)
-            if p.peek().kind == "eof":
+            if p.at(""):
                 continue
             op = p.expect_name()
             if op == "assume":
@@ -272,13 +272,13 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
             elif op == "split":
                 k = constraint(p)
                 p.expect("as")
-                prefix = p.peek()
-                p.expect_name()
-                if p.peek().kind != "eof":
+                at = p.pos
+                prefix = p.expect_name()
+                if not p.at(""):
                     p.unexpected("end of line")
                 for i, part in enumerate(conj_elim(k), start=1):
-                    name = "%s_%d" % (prefix.value, i)
-                    with p.building(prefix):
+                    name = "%s_%d" % (prefix, i)
+                    with p.building(at):
                         if name in store:
                             raise InputError("duplicate constraint name %r"
                                              % name)

@@ -1,5 +1,12 @@
 """The specification DSL: parser with diagnostics and canonical printer.
 
+Lexical rules: a name is ``\\w+`` (Unicode letters, digits and ``_``) or a
+double-quoted name without ``"`` or a line break; ``#`` starts a comment
+that runs to the end of the line; the symbols are ``-> { } ( ) : ; , . =``.
+The lexer returns each lexeme as a string, a quoted name with its quotes,
+so no quoted name equals a keyword; a token's line and column are computed
+only when an error names it.
+
 Declarations (graphs, footprints, morphisms, sketches, conditions,
 constraints, rules) are named and cross-reference each other by name.  A
 sketch's statements use its footprint's predicates.  Morphism bodies and
@@ -17,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Tuple
 
 from .category import initial_morphism
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
@@ -129,67 +137,64 @@ MAX_NESTING = 200
 
 _CONNECTIVES = {"and": And, "or": Or, "exists": Exists, "forall": Forall}
 _KEYWORD_OF = {cls: keyword for keyword, cls in _CONNECTIVES.items()}
+# the keywords that open a condition expression
+_OPERATORS = {"true", "false", "stmt", "not", "implies", *_CONNECTIVES}
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "quoted", "sym", "eof"
-    value: str
-    line: int
-    col: int
+# One match per lexeme: the blanks and comments before it, then the lexeme
+# (group 1), its alternatives tried in order.  ``.`` takes any other single
+# character, a lone '"' among them, and ``$`` the end of the text, so findall
+# returns every lexeme as a string, a quoted name with its quotes, and "" for
+# the end.  Blanks that end the text match once more before the end does.
+# Nothing follows the blanks that can fail, so they never backtrack.
+_LEXER = re.compile(r'(?:[ \t\r\n]|#[^\n]*)*'
+                    r'(->|[{}():;,.=]|"[^"\n]*"|\w+|.|$)', re.DOTALL)
+
+_SYMBOLS = frozenset(["->", *"{}():;,.="])
+_NOT_NAMES = _SYMBOLS | {""}  # the tokens that are not names
+# the tokens that end the names of a ``nodes`` section
+_SECTION_ENDS = _NOT_NAMES | {"nodes", "edges"}
 
 
-# Each match is the blanks and the comment before a lexeme (group 1, so the
-# lexeme starts at its end) and then one alternative per lexical class, the
-# first that matches winning; the named group that matched is the kind and
-# holds the value.  Blanks and a comment that end the text match alone.  A
-# Parser lexes its text once, when it is built, and no tokens are kept
-# across parses.
-_LEXEME = re.compile(r'([ \t\r]*(?:#[^\n]*)?)'
-                     r'(?:(?P<newline>\n)'
-                     r'|(?P<sym>->|[{}():;,.=])'
-                     r'|"(?P<quoted>[^"\n]*)"'
-                     r'|(?P<ident>\w+)'
-                     r'|(?P<unterminated>")'
-                     r'|(?P<bad>.))?', re.DOTALL)
-
-# the kinds of match that make no token; None is blanks ending the text
-_NOT_TOKENS = {"newline", "unterminated", "bad", None}
-
-
-def _tokenize(text: str, line: int = 1) -> List[_Token]:
-    """The tokens of ``text``, whose first line is line ``line``; one pass
-    of :data:`_LEXEME` over the text."""
-    tokens = []
-    append, new = tokens.append, tuple.__new__
-    base = -1  # the offset of the current line's first character, less one
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind in _NOT_TOKENS:
-            if kind == "newline":
-                line, base = line + 1, m.end() - 1
-            elif kind == "unterminated":
-                raise ParseError("unterminated quoted name", line,
-                                 m.end(1) - base)
-            elif kind == "bad":
-                raise ParseError("unexpected character %r" % m["bad"], line,
-                                 m.end(1) - base)
-            continue
-        append(new(_Token, (kind, m[kind], line, m.end(1) - base)))
-    append(new(_Token, ("eof", "", line, len(text) - base)))
+def _tokenize(text: str, line: int = 1) -> List[str]:
+    """The lexemes of ``text``, ending in "" for the end of input; ``line``,
+    the number of the text's first line, locates an illegal character."""
+    tokens = _LEXER.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        del tokens[-1]
+    # the illegal lexemes are the one-character ones that are neither a
+    # symbol nor a name (\w): a lone '"' or a character outside the DSL
+    bad = [t for t in set(tokens) if len(t) == 1 and t not in _SYMBOLS
+           and not t.isalnum() and t != "_"]
+    if bad:
+        i = min(map(tokens.index, bad))
+        raise ParseError("unterminated quoted name" if tokens[i] == '"'
+                         else "unexpected character %r" % tokens[i],
+                         *_where(text, i, line))
     return tokens
 
 
-def _located(tok: _Token, message: str) -> str:
-    return "line %d, column %d: %s" % (tok.line, tok.col, message)
+def _where(text: str, i: int, line: int) -> Tuple[int, int]:
+    """The line and column of token ``i`` of ``text``, whose first line is
+    ``line``.  Only errors ask, so tokens keep no position: this runs the
+    lexer again up to that token."""
+    start = next(islice(_LEXER.finditer(text), i, None)).start(1)
+    return (line + text.count("\n", 0, start),
+            start - text.rfind("\n", 0, start))
+
+
+def _name(tok: str) -> str:
+    """The name a token spells: a quoted name without its quotes."""
+    return tok[1:-1] if tok[:1] == '"' else tok
 
 
 class _Building:
     """The context manager of :meth:`Parser.building`."""
 
-    __slots__ = ("tok", "kind")
+    __slots__ = ("parser", "i", "kind")
 
-    def __init__(self, tok: _Token, kind: Optional[str]):
-        self.tok, self.kind = tok, kind
+    def __init__(self, parser: "Parser", i: int, kind: Optional[str]):
+        self.parser, self.i, self.kind = parser, i, kind
 
     def __enter__(self):
         return None
@@ -198,100 +203,100 @@ class _Building:
         if (exc is None or not isinstance(exc, ValueError)
                 or isinstance(exc, _LOCATED)):
             return False
-        tok = self.tok
-        what = "" if self.kind is None else "%s %r: " % (self.kind, tok.value)
-        raise ValidationError(_located(tok, what + str(exc))) from exc
+        p, i = self.parser, self.i
+        what = ("" if self.kind is None
+                else "%s %r: " % (self.kind, _name(p.tokens[i])))
+        raise ValidationError(p.located(i, what + str(exc))) from exc
 
 
 class Parser:
     """Recursive-descent parser over the DSL tokens; one method per construct.
 
     Declarations are entered into ``doc``, which also resolves names.
-    ``line`` is the line number of the first line of ``text``.
+    ``line`` is the line number of the first line of ``text``.  The parser
+    reads ``tokens[pos]`` directly: a token is its lexeme, so a quoted name
+    never equals a keyword or a symbol, and "" is the end of input.  Errors
+    name a token by its index, which :meth:`where` locates.
     """
 
     def __init__(self, text: str, doc: Optional[Document] = None,
                  line: int = 1):
+        self.text, self.line = text, line
         self.tokens = _tokenize(text, line)
         self.pos = 0
         self.depth = 0  # parse_expr calls open at the current token
         self.doc = doc if doc is not None else Document()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def where(self, i: int) -> Tuple[int, int]:
+        """The line and column of token ``i``."""
+        return _where(self.text, i, self.line)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def located(self, i: int, message: str) -> str:
+        """``message`` prefixed with the position of token ``i``."""
+        return "line %d, column %d: %s" % (*self.where(i), message)
 
     def unexpected(self, *expected: str):
         """Reject the next token, naming what would have been legal there."""
         tok = self.tokens[self.pos]
-        found = "end of input" if tok.kind == "eof" else tok.value
-        raise ParseError("found %r" % found, tok.line, tok.col, expected)
-
-    # at, accept, expect and expect_name read the token list directly: they
-    # run once or more per token
+        found = _name(tok) if tok else "end of input"
+        raise ParseError("found %r" % found, *self.where(self.pos), expected)
 
     def at(self, value: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.value == value and tok.kind != "quoted"
+        return self.tokens[self.pos] == value
 
     def accept(self, value: str) -> bool:
         """Consume the next token if it is ``value``."""
-        tok = self.tokens[self.pos]
-        if tok.value == value and tok.kind != "quoted":
+        if self.tokens[self.pos] == value:
             self.pos += 1
             return True
         return False
 
-    def expect(self, value: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.value != value or tok.kind == "quoted":
+    def expect(self, value: str):
+        if self.tokens[self.pos] != value:
             self.unexpected(repr(value))
         self.pos += 1
-        return tok
 
     def expect_name(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind not in ("ident", "quoted"):
+        if tok in _NOT_NAMES:
             self.unexpected("a name")
         self.pos += 1
-        return tok.value
+        return _name(tok)
 
     def resolve(self, kind: str):
         """Read a name and resolve it as a declaration of ``kind`` or a
         ``"predicate"`` of any footprint; errors name its position."""
-        tok = self.peek()
         name = self.expect_name()
         try:
             return (self.doc.predicate(name) if kind == "predicate"
                     else self.doc.lookup(kind, name))
         except ResolutionError as exc:
-            raise ResolutionError(_located(tok, str(exc))) from None
+            raise ResolutionError(
+                self.located(self.pos - 1, str(exc))) from None
 
-    def building(self, tok: _Token, kind: Optional[str] = None) -> "_Building":
+    def building(self, i: int, kind: Optional[str] = None) -> "_Building":
         """Report a ValueError raised in the block, unless it is located
-        already, as a ValidationError located at ``tok``, which opened the
-        construction, and, given ``kind``, prefixed with the kind and the
-        token's name."""
-        return _Building(tok, kind)
+        already, as a ValidationError located at token ``i``, which opened
+        the construction, and, given ``kind``, prefixed with the kind and
+        the token's name."""
+        return _Building(self, i, kind)
 
-    def new_name(self, taken, kind: str) -> _Token:
+    def new_name(self, taken, kind: str) -> str:
         """Read a name that ``taken`` does not hold yet; a repeat is a
         duplicate ``kind`` name, located at the name."""
-        tok = self.peek()
-        if self.expect_name() in taken:
-            raise ResolutionError(
-                _located(tok, "duplicate %s name %r" % (kind, tok.value)))
-        return tok
+        name = self.expect_name()
+        if name in taken:
+            raise ResolutionError(self.located(
+                self.pos - 1, "duplicate %s name %r" % (kind, name)))
+        return name
 
     def section(self) -> str:
         """Read the ``nodes`` or ``edges`` keyword that opens a body section."""
-        if not (self.at("nodes") or self.at("edges")):
+        tok = self.tokens[self.pos]
+        if tok != "nodes" and tok != "edges":
             self.unexpected("'nodes'", "'edges'")
-        return self.next().value
+        self.pos += 1
+        return tok
 
     # declarations ---------------------------------------------------------
 
@@ -299,17 +304,17 @@ class Parser:
         """Parse each ``KIND NAME ...`` declaration with
         ``parse_KIND_decl(NAME)``, which reads what follows the name and
         returns the declared value."""
-        while self.peek().kind != "eof":
-            kind = self.peek().value
+        tokens = self.tokens
+        while tokens[self.pos]:
+            kind = tokens[self.pos]
             # the declaration keywords are exactly the kinds of declaration
-            if self.peek().kind != "ident" or kind not in _TABLES:
+            if kind not in _TABLES:
                 self.unexpected("a declaration keyword")
-            self.next()
+            self.pos += 1
             table = getattr(self.doc, _TABLES[kind])
-            tok = self.new_name(table, kind)
-            with self.building(tok, kind):
-                table[tok.value] = getattr(self, "parse_%s_decl" % kind)(
-                    tok.value)
+            name = self.new_name(table, kind)
+            with self.building(self.pos - 1, kind):
+                table[name] = getattr(self, "parse_%s_decl" % kind)(name)
         return self.doc
 
     def parse_graph_decl(self, name: str) -> Graph:
@@ -323,33 +328,33 @@ class Parser:
         and every edge endpoint must be a node of the result: declared in
         the body or, for ``extend``, in the context.
         """
-        brace = self.expect("{")
-        nodes = set(base.nodes)
+        brace = self.pos
+        self.expect("{")
+        tokens, nodes = self.tokens, set(base.nodes)
         src, tgt = dict(base.src), dict(base.tgt)
-        ends: List[_Token] = []
+        ends: List[int] = []  # the tokens naming edge endpoints
         while not self.at("}"):
             if self.section() == "nodes":
-                while (self.peek().kind == "quoted"
-                       or (self.peek().kind == "ident"
-                           and self.peek().value not in ("nodes", "edges"))):
-                    nodes.add(self.new_name(nodes, "node").value)
+                while tokens[self.pos] not in _SECTION_ENDS:
+                    nodes.add(self.new_name(nodes, "node"))
             else:
                 while True:
-                    e = self.new_name(src, "edge").value
+                    e = self.new_name(src, "edge")
                     self.expect(":")
-                    ends.append(self.peek())
+                    ends.append(self.pos)
                     src[e] = self.expect_name()
                     self.expect("->")
-                    ends.append(self.peek())
+                    ends.append(self.pos)
                     tgt[e] = self.expect_name()
                     if not self.accept(","):
                         break
             self.accept(";")
         self.expect("}")
-        for tok in ends:
-            if tok.value not in nodes:
-                raise ResolutionError(_located(
-                    tok, "edge endpoint %r is not a declared node" % tok.value))
+        for i in ends:
+            end = _name(tokens[i])
+            if end not in nodes:
+                raise ResolutionError(self.located(
+                    i, "edge endpoint %r is not a declared node" % end))
         with self.building(brace):
             return Graph(nodes, src.keys(), src, tgt)
 
@@ -363,7 +368,7 @@ class Parser:
         preds = {}
         while not self.at("}"):
             self.expect("pred")
-            pname = self.new_name(preds, "predicate").value
+            pname = self.new_name(preds, "predicate")
             self.expect("arity")
             preds[pname] = PredicateSymbol(pname, self.graph_ref())
             self.accept(";")
@@ -377,14 +382,14 @@ class Parser:
         Each ``x`` must be a new element of ``dom``, in a section of its
         kind; errors are located at it and prefixed with ``what``."""
         self.expect("{")
+        tokens = self.tokens
         entries = {"nodes": {}, "edges": {}}
         section = None
         while not self.at("}"):
             if sectioned:
                 section = self.section()
-            while self.peek().kind in ("ident", "quoted"):
-                tok = self.next()
-                x = tok.value
+            while tokens[self.pos] not in _NOT_NAMES:
+                x = self.expect_name()
                 kind = "edges" if x in dom.edges else "nodes"
                 if kind == "nodes" and x not in dom.nodes:
                     problem = "is neither a node nor an edge of the domain"
@@ -397,8 +402,8 @@ class Parser:
                     entries[kind][x] = self.expect_name()
                     self.accept(",")
                     continue
-                raise ResolutionError(
-                    _located(tok, "%s%r %s" % (what, x, problem)))
+                raise ResolutionError(self.located(
+                    self.pos - 1, "%s%r %s" % (what, x, problem)))
             if not sectioned:
                 break
             self.accept(";")
@@ -417,11 +422,12 @@ class Parser:
         """Parse ``PRED via { x -> y, ... }`` into a statement over context.
         Given ``footprint``, PRED must be one of its predicates; else every
         footprint that declares PRED must agree on it."""
-        tok = self.peek()
+        start = self.pos
         declared = self.doc.footprints.get(footprint, {})
-        pred = (declared[self.expect_name()] if tok.value in declared
+        pred = (declared[self.expect_name()]
+                if _name(self.tokens[start]) in declared
                 else self.resolve("predicate"))
-        with self.building(tok, "statement"):
+        with self.building(start, "statement"):
             if footprint is not None and pred.name not in declared:
                 raise MismatchError("the predicate is not in footprint %r"
                                     % footprint)
@@ -431,7 +437,7 @@ class Parser:
 
     def parse_sketch_decl(self, name: str) -> Sketch:
         self.expect("over")
-        footprint = self.peek().value
+        footprint = _name(self.tokens[self.pos])
         self.resolve("footprint")
         self.expect("on")
         context = self.graph_ref()
@@ -453,18 +459,16 @@ class Parser:
     def parse_shift(self, context: Graph) -> GraphMorphism:
         if self.accept("extend"):
             return inclusion(context, self.parse_graph_body(context))
-        tok = self.peek()
         m = self.resolve("morphism")
-        with self.building(tok, "morphism"):
+        with self.building(self.pos - 1, "morphism"):
             if m.dom != context:
                 raise MismatchError("does not start at the current context")
         return m
 
     def parse_expr(self, context: Graph) -> Condition:
         if self.depth == MAX_NESTING:
-            tok = self.peek()
             raise ParseError("condition nested more than %d deep" % MAX_NESTING,
-                             tok.line, tok.col)
+                             *self.where(self.pos))
         self.depth += 1
         try:
             return self.parse_operand(context)
@@ -473,20 +477,17 @@ class Parser:
 
     def parse_operand(self, context: Graph) -> Condition:
         """One condition expression, its operands read by ``parse_expr``."""
-        tok = self.peek()
-        # a quoted token is a name, never a keyword
-        keyword = tok.value if tok.kind == "ident" else None
+        keyword = self.tokens[self.pos]
+        if keyword not in _OPERATORS:
+            self.unexpected("a condition expression")
+        self.pos += 1
         if keyword == "true":
-            self.next()
             return Top(context)
         if keyword == "false":
-            self.next()
             return Bottom(context)
         if keyword == "stmt":
-            self.next()
             return stmt(self.parse_statement(context))
         if keyword in ("and", "or"):
-            self.next()
             self.expect("(")
             children = []
             while not self.at(")"):
@@ -495,37 +496,33 @@ class Parser:
             self.expect(")")
             return _CONNECTIVES[keyword](context, tuple(children))
         if keyword == "not":
-            self.next()
             return Not(context, self.parse_expr(context))
         if keyword == "implies":
-            self.next()
             self.expect("(")
             lhs = self.parse_expr(context)
             self.expect(",")
             rhs = self.parse_expr(context)
             self.expect(")")
             return implication(lhs, rhs)
-        if keyword in ("exists", "forall"):
-            self.next()
-            guard = self.parse_expr(context) if self.accept("given") \
-                else Top(context)
-            self.expect("(")
-            shift = self.parse_shift(context)
-            self.expect(")")
-            self.expect(".")
-            body = self.parse_expr(shift.cod)
-            return _CONNECTIVES[keyword](context, guard, shift, body)
-        self.unexpected("a condition expression")
+        # exists or forall
+        guard = self.parse_expr(context) if self.accept("given") \
+            else Top(context)
+        self.expect("(")
+        shift = self.parse_shift(context)
+        self.expect(")")
+        self.expect(".")
+        body = self.parse_expr(shift.cod)
+        return _CONNECTIVES[keyword](context, guard, shift, body)
 
     def parse_constraint_decl(self, name: str) -> ConstraintDecl:
         self.expect("=")
         self.expect("(")
-        cond_name = self.peek().value
+        cond_name = _name(self.tokens[self.pos])
         cond = self.resolve("condition")
         self.expect(",")
         anchor_name, anchor = None, None
         if not self.accept("initial"):
-            anchor_name = self.peek().value
+            anchor_name = _name(self.tokens[self.pos])
             anchor = self.resolve("morphism")
         self.expect(")")
         return ConstraintDecl(cond_name, cond, anchor_name, anchor)

@@ -246,9 +246,16 @@ def morphism_of(dom: Graph, cod: Graph, nodes: Mapping[str, str] = None,
 
 
 def inclusion(small: Graph, big: Graph) -> GraphMorphism:
-    """The morphism small -> big that maps every element to itself."""
-    return GraphMorphism(small, big, {n: n for n in small.nodes},
-                         {e: e for e in small.edges})
+    """The morphism small -> big that maps every element to itself.  It is
+    built unchecked when ``small`` is a subgraph of ``big``, and otherwise
+    through the constructor, which names the first offending element."""
+    node_map = {n: n for n in small.nodes}
+    edge_map = {e: e for e in small.edges}
+    if small is big or (small.nodes <= big.nodes
+                        and small.src.items() <= big.src.items()
+                        and small.tgt.items() <= big.tgt.items()):
+        return GraphMorphism._trusted(small, big, node_map, edge_map)
+    return GraphMorphism(small, big, node_map, edge_map)
 
 
 def identity(g: Graph) -> GraphMorphism:

@@ -7,8 +7,8 @@ from gsketch.conditions import (And, Bottom, Exists, Forall, Not, Or, Top,
 from gsketch.deduction import Rule
 from gsketch.dsl import (KEYWORDS, MAX_NESTING, ConstraintDecl, Document,
                          ParseError, ResolutionError, ValidationError, _tokenize,
-                         format_condition, parse, parse_files, print_document,
-                         read_source)
+                         _where, format_condition, parse, parse_files,
+                         print_document, read_source)
 from gsketch.graphs import Graph, GraphMorphism, graph_of, inclusion
 from gsketch.oracles import conditions_equal_modulo_renaming
 from gsketch.sketches import (Footprint, PredicateSymbol, Sketch, Statement,
@@ -544,6 +544,21 @@ LEXER_PIECES = ["a", "Z", "_", "7", "graph", "nodes", "\u00e9", "\u0416",
 LEXER_TEXTS = st.lists(st.sampled_from(LEXER_PIECES), max_size=40).map("".join)
 
 
+def _positioned(text, line=1):
+    """The (kind, value, line, col) tuples of the tokens of ``text``, whose
+    first line is ``line``: the lexer gives the lexemes, and the on-demand
+    locator the position of each."""
+    def kind(tok):
+        if not tok:
+            return "eof"
+        if tok[0] == '"':
+            return "quoted"
+        return "ident" if tok[0].isalnum() or tok[0] == "_" else "sym"
+
+    return [(kind(tok), tok.strip('"'), *_where(text, i, line))
+            for i, tok in enumerate(_tokenize(text, line))]
+
+
 def _lex(tokenize, text):
     """The token tuples of ``text``, or the message, line and column of its
     ParseError."""
@@ -570,7 +585,7 @@ class TestLexer:
     @settings(max_examples=500, deadline=None)
     @given(LEXER_TEXTS)
     def test_matches_character_loop(self, text):
-        want, got = _lex(_reference_tokenize, text), _lex(_tokenize, text)
+        want, got = _lex(_reference_tokenize, text), _lex(_positioned, text)
         _forgive_end_comment(text, want, got)
         assert got == want
 
@@ -588,9 +603,46 @@ class TestLexer:
             message, at, col = want
             want = ("line %d, column %d: %s" % (
                 at + shift, col, message.split(": ", 1)[1]), at + shift, col)
-        got = _lex(lambda t: _tokenize(t, line), text)
+        got = _lex(lambda t: _positioned(t, line), text)
         _forgive_end_comment(text, want, got)
         assert got == want
+
+    @pytest.mark.parametrize("text", ["", " ", "a", "a \t", "a\n\n",
+                                      "a # note", "# note\n", "a\n# note"])
+    def test_one_end_token(self, text):
+        # blanks or a comment that end the text match once before the end
+        # does; the lexer keeps a single end token
+        tokens = _tokenize(text)
+        assert tokens.count("") == 1 and tokens[-1] == ""
+
+    @pytest.mark.parametrize("text, message, col", [
+        ("a ~ b @ c $", "unexpected character '~'", 3),
+        ("$ @ ~ ! ? ^ & *", "unexpected character '$'", 1),
+        ('x @ "open', "unexpected character '@'", 3),
+        ('x "open @', "unterminated quoted name", 3),
+        ('"ok" - > @', "unexpected character '-'", 6),
+    ])
+    def test_first_of_several_illegal_characters(self, text, message, col):
+        # the first in text order, whatever the order of the set of them
+        for line in (1, 7):
+            with pytest.raises(ParseError) as err:
+                _tokenize(text, line)
+            assert (err.value.line, err.value.col) == (line, col)
+            assert str(err.value) == "line %d, column %d: %s" % (
+                line, col, message)
+
+    def test_long_name_is_located_by_the_locator(self):
+        with pytest.raises(ParseError) as err:
+            parse("a" * 100_000 + "@")
+        assert (err.value.line, err.value.col) == (1, 100_001)
+        assert str(err.value).endswith("unexpected character '@'")
+
+    def test_unterminated_quote_on_a_late_line(self):
+        with pytest.raises(ParseError) as err:
+            parse("# filler\n" * 9_999 + 'graph "open { }')
+        assert (err.value.line, err.value.col) == (10_000, 7)
+        assert str(err.value) == ("line 10000, column 7: "
+                                  "unterminated quoted name")
 
 
 # names that print plain, keywords, canonical (co)limit names, non-ASCII

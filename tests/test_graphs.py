@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from gsketch.graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
                             NotInvertibleError, compose, enumerate_extensions,
                             enumerate_morphisms, enumerate_morphisms_extending,
-                            graph_of, identity, invert, is_isomorphism,
-                            is_monomorphism, iter_extensions, morphism_of,
-                            search)
+                            graph_of, identity, inclusion, invert,
+                            is_isomorphism, is_monomorphism, iter_extensions,
+                            morphism_of, search)
 
 from conftest import brute_force_morphisms
 
@@ -251,6 +251,52 @@ class TestMorphismOf:
             with pytest.raises(MismatchError) as err:
                 build(dom, CYCLE, nodes, edges)
             assert str(err.value) == message
+
+
+@st.composite
+def subgraphs(draw, big):
+    """Some nodes of ``big`` and some of the edges between them."""
+    nodes = {n for n in sorted(big.nodes) if draw(st.booleans())}
+    edges = [e for e in sorted(big.edges) if big.src[e] in nodes
+             and big.tgt[e] in nodes and draw(st.booleans())]
+    return Graph(nodes, edges, {e: big.src[e] for e in edges},
+                 {e: big.tgt[e] for e in edges})
+
+
+class TestInclusion:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(max_nodes=3, max_edges=4), st.data())
+    def test_equals_its_checked_rebuild(self, big, data):
+        # a subgraph, drawn as such or by chance, the graph itself, or any
+        # other graph: the unchecked build is the checked one, and a graph
+        # that is no subgraph fails with the constructor's message
+        small = data.draw(st.one_of(subgraphs(big), st.just(big),
+                                    small_graphs(max_nodes=3, max_edges=4)))
+        nodes, edges = {n: n for n in small.nodes}, {e: e for e in small.edges}
+        try:
+            want = GraphMorphism(small, big, nodes, edges)
+        except MismatchError as exc:
+            with pytest.raises(MismatchError) as err:
+                inclusion(small, big)
+            assert str(err.value) == str(exc)
+            return
+        got = inclusion(small, big)
+        assert got == want and hash(got) == hash(want)
+        assert dict(got.node_map) == nodes and dict(got.edge_map) == edges
+        if small is big:
+            assert identity(big) == want
+
+    @pytest.mark.parametrize("small, message", [
+        (graph_of("1 9"), "node '9' maps outside the codomain"),
+        # the edge exists in the codomain, between other nodes
+        (graph_of("", "a:2->1"), "edge 'a': image does not respect "
+                                 "source/target"),
+        (graph_of("", "z:1->2"), "edge 'z' maps outside the codomain"),
+    ])
+    def test_no_subgraph_is_named_by_the_constructor(self, small, message):
+        with pytest.raises(MismatchError) as err:
+            inclusion(small, G)
+        assert str(err.value) == message
 
 
 class TestEnumeration:
