@@ -28,10 +28,6 @@ class PullbackResult:
     right: GraphMorphism  # D -> A
 
 
-def initial_graph() -> Graph:
-    return EMPTY_GRAPH
-
-
 def initial_morphism(g: Graph) -> GraphMorphism:
     return inclusion(EMPTY_GRAPH, g)
 

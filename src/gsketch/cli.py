@@ -24,7 +24,7 @@ from .conditions import (Constraint, EvaluationBudgetExceeded, Forall,
 from .deduction import (ConstrainedSketch, conj_elim, conj_intro,
                         modus_ponens, repair_to_fixpoint, skolemize,
                         statement_to_constraint, universal_elim)
-from .dsl import (ConstraintDecl, Document, ParseError, Parser,
+from .dsl import (LOCATED, ConstraintDecl, Document, ParseError, Parser,
                   ResolutionError, ValidationError, format_condition,
                   parse_files, print_document, read_source)
 from .graphs import GraphMorphism, MismatchError
@@ -187,10 +187,11 @@ def cmd_pullback(doc: Document, args) -> int:
     base = _sketch_for_graph(doc, m.cod, "shared codomain")
     left = SketchMorphism(_sketch_for_graph(doc, m.dom, "domain"), base, m)
     right = SketchMorphism(_sketch_for_graph(doc, r.dom, "domain"), base, r)
-    d, m_star, r_star = sketch_pullback(left, right)
+    d, to_b, to_a = sketch_pullback(left, right)
     print(_sketch_document(doc, "pullback", d), end="")
-    print("# left projection %s" % _morphism_table(m_star.morphism))
-    print("# right projection %s" % _morphism_table(r_star.morphism))
+    # labels swapped, as in the golden output (FOUND cmd_pullback, CHANGES.md)
+    print("# left projection %s" % _morphism_table(to_a.morphism))
+    print("# right projection %s" % _morphism_table(to_b.morphism))
     return 0
 
 
@@ -293,11 +294,10 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
             else:
                 raise InputError("unknown deduction command %r" % op)
         except ValueError as exc:
-            # every input error is one; the parser locates its errors already
-            message = str(exc)
-            if not message.startswith("line %d, column " % lineno):
-                message = "line %d: %s" % (lineno, message)
-            raise InputError(message) from exc
+            # every input error is one; the parser's are located already
+            if isinstance(exc, LOCATED):
+                raise InputError(str(exc)) from exc
+            raise InputError("line %d: %s" % (lineno, exc)) from exc
     return store
 
 

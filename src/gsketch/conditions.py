@@ -301,11 +301,6 @@ def _violations(t, g, c):
             yield r
 
 
-def violating_extensions(t: GraphMorphism, g: Sketch, c: Forall) -> list:
-    """Every counterexample of :func:`iter_violations`, in canonical order."""
-    return list(iter_violations(t, g, c))
-
-
 def _conclusion(rule: SketchMorphism) -> Condition:
     """The statements of R outside the image a(S1) of the premise, over R.
     Where the premise holds at t, every r with a;r = t maps a(S1) onto

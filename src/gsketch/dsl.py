@@ -55,7 +55,7 @@ class ValidationError(ValueError):
 
 
 # the errors whose messages carry their line and column
-_LOCATED = (ParseError, ResolutionError, ValidationError)
+LOCATED = (ParseError, ResolutionError, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ class _Building:
 
     def __exit__(self, exc_type, exc, tb):
         if (exc is None or not isinstance(exc, ValueError)
-                or isinstance(exc, _LOCATED)):
+                or isinstance(exc, LOCATED)):
             return False
         p, i = self.parser, self.i
         what = ("" if self.kind is None

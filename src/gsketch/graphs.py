@@ -212,8 +212,9 @@ def morphism_of(dom: Graph, cod: Graph, nodes: Mapping[str, str] = None,
 
     Node entries may be omitted when forced by an incident edge; genuinely
     isolated unmapped nodes are an error, and so is every unmapped edge.
-    The maps are checked here, once, and the remaining errors name the
-    element that the :class:`GraphMorphism` constructor would name.
+    Maps that pass the checks here and make a morphism are built unchecked;
+    the others go through the :class:`GraphMorphism` constructor, which
+    names the first offending element.
     """
     node_map = dict(nodes or {})
     edge_map = dict(edges or {})
@@ -233,16 +234,13 @@ def morphism_of(dom: Graph, cod: Graph, nodes: Mapping[str, str] = None,
     if missing:
         raise MismatchError("isolated nodes need explicit images: %s"
                             % ", ".join(missing))
-    # the keys are exactly dom's nodes and a subset of its edges; an edge's
-    # image is in cod and forced its endpoints' images, so what is left to
-    # check is that every node image is in cod and every edge is mapped
-    if not cod.nodes.issuperset(node_map.values()):
-        raise MismatchError("node %r maps outside the codomain" % min(
-            n for n, img in node_map.items() if img not in cod.nodes))
-    if len(edge_map) != len(dom.edges):
-        raise MismatchError("edge %r of the domain is unmapped"
-                            % min(dom.edges - edge_map.keys()))
-    return GraphMorphism._trusted(dom, cod, node_map, edge_map)
+    # the keys are exactly dom's nodes and a subset of its edges, and an
+    # edge's image is in cod and forced its endpoints' images; any other
+    # failure is the constructor's to name
+    if (cod.nodes.issuperset(node_map.values())
+            and len(edge_map) == len(dom.edges)):
+        return GraphMorphism._trusted(dom, cod, node_map, edge_map)
+    return GraphMorphism(dom, cod, node_map, edge_map)
 
 
 def inclusion(small: Graph, big: Graph) -> GraphMorphism:

@@ -263,7 +263,8 @@ def _paired_key(kb, ka):
 def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
     """Pullback in the category of sketches for the cospan B -m-> C <-r- A.
 
-    Returns ``(D, m_star: D -> A, r_star: D -> B)``.  The statement set of D
+    Returns ``(D, left: D -> B, right: D -> A)``, in the order of
+    :func:`~gsketch.category.pullback`.  The statement set of D
     is the maximal one whose projections land in the statement sets of A and
     B.  A binding into D is exactly a pair of bindings, into B and into A,
     that agree in C, so D pairs each statement of B with each statement of A
@@ -272,7 +273,6 @@ def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
     if m.cod != r.cod:
         raise MismatchError("sketch pullback needs a cospan with a common codomain")
     pb = pullback(m.morphism, r.morphism)
-    # pb.left: D -> B, pb.right: D -> A
     over_c = {}
     for p, keys in r.dom.index.items():
         for ka in keys:
@@ -284,5 +284,5 @@ def sketch_pullback(m: SketchMorphism, r: SketchMorphism):
                 index.setdefault(p, set()).add(_paired_key(kb, ka))
     d = Sketch._from_index(pb.object, index)
     # each statement of D projects to the pair it was built from
-    return (d, unchecked(SketchMorphism, dom=d, cod=r.dom, morphism=pb.right),
-            unchecked(SketchMorphism, dom=d, cod=m.dom, morphism=pb.left))
+    return (d, unchecked(SketchMorphism, dom=d, cod=m.dom, morphism=pb.left),
+            unchecked(SketchMorphism, dom=d, cod=r.dom, morphism=pb.right))

@@ -12,8 +12,8 @@ from gsketch.category import initial_morphism
 from gsketch.category import PullbackResult, PushoutResult
 from gsketch.cli import main as cli_main
 from gsketch.conditions import (And, Constraint, Exists, Forall, Top,
-                                check_constraint, nuc, satisfies,
-                                statements_conj, uc, violating_extensions)
+                                check_constraint, iter_violations, nuc,
+                                satisfies, statements_conj, uc)
 from gsketch.ct import COMP, MONIC, comp_stmt, limit_condition, monic_stmt
 from gsketch.deduction import (ConstrainedSketch, conj_elim, conj_intro,
                                cstr_translate, modus_ponens,
@@ -53,7 +53,7 @@ def test_criterion_1_exact_satisfaction_facts(fx):
         assert not check_constraint(g, Constraint(fx.conditions["phi3"], bang)).holds
         assert check_constraint(g, Constraint(fx.conditions["phi5"], bang)).holds
         assert not check_constraint(g, Constraint(fx.conditions["phi6"], bang)).holds
-        bad = violating_extensions(bang, g, fx.conditions["phi6"])
+        bad = list(iter_violations(bang, g, fx.conditions["phi6"]))
         assert [b.edge_map for b in bad] == [{"e1": "c", "e2": "d", "e3": "g"}]
 
 
@@ -167,16 +167,16 @@ def test_criterion_7_universal_properties(fx, doc):
         b = Sketch(arrow, [monic_stmt(arrow, "e")])
         bm = SketchMorphism(b, fx.sketch_g,
                             morphism_of(arrow, fx.graph_g, edges={"e": "b"}))
-        pd, pm, pr = sketch_pullback(bm, bm)
+        pd, pl, pr = sketch_pullback(bm, bm)
         assert verify_pullback(bm.morphism, bm.morphism,
-                               PullbackResult(pd.context, pm.morphism,
+                               PullbackResult(pd.context, pl.morphism,
                                               pr.morphism))
         for pred in (MONIC, COMP):
             for binding in enumerate_morphisms(pred.arity, pd.context):
                 sigma = Statement(pred, binding)
                 if sigma in pd.statements:
                     continue
-                assert not (composed_statement(pm.morphism, sigma)
+                assert not (composed_statement(pl.morphism, sigma)
                             in b.statements
                             and composed_statement(pr.morphism, sigma)
                             in b.statements)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsketch.category import (PushoutResult, initial_graph, initial_morphism,
-                              pair_name, pullback, pushout, tagged_quotient)
+from gsketch.category import (PushoutResult, initial_morphism, pair_name,
+                              pullback, pushout, tagged_quotient)
 from gsketch.graphs import (EMPTY_GRAPH, MismatchError, compose,
                             enumerate_morphisms, graph_of, identity,
                             is_isomorphism, morphism_of)
@@ -17,7 +17,8 @@ G = graph_of("", "a:1->2 b:2->3 c:3->4 d:4->5 e:1->3 f:1->3 g:3->5")
 
 class TestInitial:
     def test_initial_graph_is_empty(self):
-        assert initial_graph() == EMPTY_GRAPH
+        assert EMPTY_GRAPH.is_empty()
+        assert initial_morphism(G).dom == EMPTY_GRAPH
 
     def test_initial_morphism_of_empty(self):
         assert initial_morphism(EMPTY_GRAPH) == identity(EMPTY_GRAPH)
@@ -27,7 +28,7 @@ class TestInitial:
         assert m.cod == G and m.node_map == {} and m.edge_map == {}
 
     def test_initiality(self):
-        assert enumerate_morphisms(initial_graph(), G) == [initial_morphism(G)]
+        assert enumerate_morphisms(EMPTY_GRAPH, G) == [initial_morphism(G)]
 
 
 class TestPushout:

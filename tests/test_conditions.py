@@ -7,9 +7,9 @@ from gsketch.category import initial_morphism
 from gsketch.conditions import (And, Bottom, Constraint, EvaluationBudgetExceeded,
                                 Exists, Forall, IllFormedConditionError, Not,
                                 Or, Stmt, Top, check_constraint, conj,
-                                implication, is_closed, nuc, satisfies,
-                                statements_conj, stmt, uc, unguarded_exists,
-                                unguarded_forall, violating_extensions,
+                                implication, is_closed, iter_violations, nuc,
+                                satisfies, statements_conj, stmt, uc,
+                                unguarded_exists, unguarded_forall,
                                 well_formed)
 from gsketch.ct import (COMP, MONIC, colimit_condition, comp_stmt,
                         limit_condition, monic_stmt)
@@ -172,8 +172,8 @@ class TestExampleFacts:
 
     def test_phi6_unique_counterexample(self, fx):
         cond = fx.conditions["phi6"]
-        bad = violating_extensions(initial_morphism(fx.graph_g),
-                                   fx.sketch_g, cond)
+        bad = list(iter_violations(initial_morphism(fx.graph_g),
+                                   fx.sketch_g, cond))
         assert len(bad) == 1
         assert bad[0].edge_map == {"e1": "c", "e2": "d", "e3": "g"}
 

@@ -20,7 +20,7 @@ from gsketch.sketches import (Sketch, SketchMorphism, Statement,
                               sketch_pullback, sketch_pushout)
 from gsketch.translation import chosen_pushout
 
-from test_graphs import small_graphs
+from strategies import small_graphs
 
 NAMES = ["p", "q", "L:p", "R:", "p|q", "|", "p\\", ""]
 
@@ -186,7 +186,7 @@ class TestSketchLegs:
         c = Sketch(m.cod, {Statement(s.predicate, compose(s.binding, leg))
                            for sketch, leg in ((b, m), (a, r))
                            for s in sketch.statements})
-        d, to_a, to_b = sketch_pullback(SketchMorphism(b, c, m),
+        d, to_b, to_a = sketch_pullback(SketchMorphism(b, c, m),
                                         SketchMorphism(a, c, r))
         assert (to_a.dom, to_a.cod, to_b.dom, to_b.cod) == (d, a, d, b)
         assert_valid_sketch_leg(to_a)

@@ -17,35 +17,15 @@ from hypothesis import strategies as st
 
 from gsketch.conditions import (And, Bottom, Exists, Forall, Not, Or, Top,
                                 iter_violations, satisfies, stmt)
-from gsketch.ct import COMP, FINAL, MONIC
 from gsketch.graphs import Graph, GraphMorphism, enumerate_morphisms
-from gsketch.sketches import Sketch, Statement
 
-from test_graphs import small_graphs
+from strategies import random_sketches, small_graphs, statements_over
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_reference", pathlib.Path(__file__).resolve().parent.parent
     / "perfbench" / "reference.py")
 reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reference)
-
-PREDICATES = (COMP, MONIC, FINAL)
-
-
-@st.composite
-def statements_over(draw, g, max_size):
-    candidates = [Statement(p, b) for p in PREDICATES
-                  for b in enumerate_morphisms(p.arity, g)]
-    if not candidates:
-        return []
-    return draw(st.lists(st.sampled_from(candidates), max_size=max_size))
-
-
-@st.composite
-def sketches(draw):
-    g = draw(small_graphs(max_nodes=3, max_edges=4))
-    return Sketch(g, draw(statements_over(g, max_size=4)))
-
 
 @st.composite
 def shifts_from(draw, k, prefix):
@@ -129,7 +109,7 @@ def assert_verdict(v, t, target, c):
 
 class TestAgainstReference:
     @settings(max_examples=1000, deadline=None)
-    @given(sketches(), small_graphs(max_nodes=2, max_edges=1), st.data())
+    @given(random_sketches(), small_graphs(max_nodes=2, max_edges=1), st.data())
     def test_verdicts_and_violations(self, g, context, data):
         # an empty context gives a closed condition at the initial anchor
         anchors = enumerate_morphisms(context, g.context)

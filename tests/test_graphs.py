@@ -13,24 +13,13 @@ from gsketch.graphs import (EMPTY_GRAPH, Graph, GraphMorphism, MismatchError,
                             morphism_of, search)
 
 from conftest import brute_force_morphisms
+from strategies import small_graphs
 
 
 G = graph_of("", "a:1->2 b:2->3 c:3->4 d:4->5 e:1->3 f:1->3 g:3->5")
 COMP_ARITY = graph_of("", "e1:v1->v2 e2:v2->v3 e3:v1->v3")
 MONIC_ARITY = graph_of("", "e:v1->v2")
 K1 = graph_of("", "e1:v1->v2 e2:v2->v3")
-
-
-@st.composite
-def small_graphs(draw, max_nodes=4, max_edges=5):
-    n = draw(st.integers(min_value=0, max_value=max_nodes))
-    nodes = ["n%d" % i for i in range(n)]
-    k = draw(st.integers(min_value=0, max_value=max_edges)) if n else 0
-    src, tgt = {}, {}
-    for i in range(k):
-        src["x%d" % i] = draw(st.sampled_from(nodes))
-        tgt["x%d" % i] = draw(st.sampled_from(nodes))
-    return Graph(nodes, src.keys(), src, tgt)
 
 
 class TestValidation:
@@ -245,12 +234,59 @@ class TestMorphismOf:
     ])
     def test_names_the_constructors_least_offender(self, dom, nodes, edges,
                                                    message):
-        # morphism_of checks the maps itself; it names what the constructor
-        # names
+        # morphism_of names what the constructor names
         for build in (GraphMorphism, morphism_of):
             with pytest.raises(MismatchError) as err:
                 build(dom, CYCLE, nodes, edges)
             assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(max_nodes=3, max_edges=3),
+           small_graphs(max_nodes=3, max_edges=3), st.data())
+    def test_equals_the_constructor_on_the_inferred_maps(self, dom, cod,
+                                                         data):
+        # an entry, or none, for each element of dom, and at times one for
+        # the outsider "zz"; each image is in cod or is the outsider
+        def entries(keys, images):
+            if data.draw(st.integers(0, 4)) == 0:
+                keys.append("zz")
+            drawn = {k: data.draw(st.sampled_from([None, "zz"] + images))
+                     for k in keys}
+            return {k: img for k, img in drawn.items() if img is not None}
+
+        nodes = entries(sorted(dom.nodes), sorted(cod.nodes))
+        edges = entries(sorted(dom.edges), sorted(cod.edges))
+        inferred = inferred_node_map(dom, cod, nodes, edges)
+        if inferred is None:
+            with pytest.raises(MismatchError):
+                morphism_of(dom, cod, nodes, edges)
+            return
+        try:
+            want = GraphMorphism(dom, cod, inferred, edges)
+        except MismatchError as exc:
+            with pytest.raises(MismatchError) as err:
+                morphism_of(dom, cod, nodes, edges)
+            assert str(err.value) == str(exc)
+            return
+        got = morphism_of(dom, cod, nodes, edges)
+        assert got == want and hash(got) == hash(want)
+
+
+def inferred_node_map(dom, cod, nodes, edges):
+    """The node map that ``morphism_of`` infers: the given node entries and
+    the endpoint images forced by the edge entries; None where the entries
+    name no element of dom, an edge maps to no edge of cod, two images of a
+    node disagree or a node gets none."""
+    if not (nodes.keys() <= dom.nodes and edges.keys() <= dom.edges
+            and cod.edges.issuperset(edges.values())):
+        return None
+    node_map = dict(nodes)
+    for e, img in edges.items():
+        for end, image in ((dom.src[e], cod.src[img]),
+                           (dom.tgt[e], cod.tgt[img])):
+            if node_map.setdefault(end, image) != image:
+                return None
+    return node_map if node_map.keys() == dom.nodes else None
 
 
 @st.composite

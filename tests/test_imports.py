@@ -1,7 +1,9 @@
 """No gsketch module imports a private (``_``-prefixed) name from another
-gsketch module: what one module needs of another is public."""
+gsketch module: what one module needs of another is public.  The package's
+``__all__`` lists the names it imports from its modules, not the modules."""
 import ast
 import pathlib
+import types
 
 import pytest
 
@@ -35,3 +37,9 @@ def test_private_imports_are_found():
                            "from gsketch.sketches import _statement_at\n"
                            "from os import _exit\n") == [
         "conditions._violations", "gsketch.sketches._statement_at"]
+
+
+def test_all_lists_no_module():
+    assert [name for name in gsketch.__all__
+            if isinstance(getattr(gsketch, name), types.ModuleType)] == []
+    assert "graph_of" in gsketch.__all__

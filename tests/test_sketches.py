@@ -14,7 +14,7 @@ from gsketch.sketches import (Footprint, PredicateSymbol, Sketch,
                               translate_key, translate_statement)
 from gsketch.oracles import composed_statement, sketches_isomorphic
 
-from test_graphs import small_graphs
+from strategies import small_graphs
 
 
 class TestFootprint:
@@ -134,7 +134,7 @@ class TestSketchPullback:
     def test_along_identity(self, fx):
         g = fx.sketch_g
         ident = SketchMorphism(g, g, identity(g.context))
-        d, m_star, r_star = sketch_pullback(ident, ident)
+        d, _, _ = sketch_pullback(ident, ident)
         assert sketches_isomorphic(d, g)
 
     def test_statement_free(self, fx):
@@ -149,7 +149,7 @@ class TestSketchPullback:
         b = Sketch(arrow, [monic_stmt(arrow, "e")])
         m = SketchMorphism(b, fx.sketch_g,
                            morphism_of(arrow, fx.graph_g, edges={"e": "b"}))
-        d, m_star, r_star = sketch_pullback(m, m)
+        d, _, _ = sketch_pullback(m, m)
         monics = [s for s in d.statements if s.predicate.name == "monic"]
         assert len(monics) == 1
         assert monics[0].binding.edge_map == {"e": "e|e"}
@@ -160,16 +160,16 @@ class TestSketchPullback:
         b = Sketch(arrow, [monic_stmt(arrow, "e")])
         m = SketchMorphism(b, fx.sketch_g,
                            morphism_of(arrow, fx.graph_g, edges={"e": "b"}))
-        d, m_star, r_star = sketch_pullback(m, m)
+        d, left, right = sketch_pullback(m, m)
         for pred in (MONIC, COMP):
             for binding in enumerate_morphisms(pred.arity, d.context):
                 sigma = Statement(pred, binding)
                 if sigma in d.statements:
                     continue
                 ok_left = composed_statement(
-                    r_star.morphism, sigma) in b.statements
+                    left.morphism, sigma) in b.statements
                 ok_right = composed_statement(
-                    m_star.morphism, sigma) in b.statements
+                    right.morphism, sigma) in b.statements
                 assert not (ok_left and ok_right)
 
 
@@ -186,7 +186,7 @@ def enumerated_pullback(m, r):
                       for b in enumerate_morphisms(p.arity, pb.object))
         if composed_statement(pb.right, sigma) in r.dom.statements
         and composed_statement(pb.left, sigma) in m.dom.statements]
-    return Sketch(pb.object, statements), pb.right, pb.left
+    return Sketch(pb.object, statements), pb.left, pb.right
 
 
 @st.composite
@@ -244,12 +244,12 @@ class TestSketchPullbackDifferential:
     @given(sketch_cospans())
     def test_pairing_equals_enumeration(self, cospan):
         m, r = cospan
-        d, m_star, r_star = sketch_pullback(m, r)
-        want, right, left = enumerated_pullback(m, r)
+        d, to_b, to_a = sketch_pullback(m, r)
+        want, left, right = enumerated_pullback(m, r)
         assert d.context == want.context
         assert d.statements == want.statements
-        assert (m_star.dom, m_star.cod, m_star.morphism) == (d, r.dom, right)
-        assert (r_star.dom, r_star.cod, r_star.morphism) == (d, m.dom, left)
+        assert (to_b.dom, to_b.cod, to_b.morphism) == (d, m.dom, left)
+        assert (to_a.dom, to_a.cod, to_a.morphism) == (d, r.dom, right)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from gsketch.oracles import shift_equivalence_oracle, verify_pushout
 from gsketch.sketches import Sketch, Statement
 from gsketch.translation import chosen_pushout, translate_condition
 
-from test_graphs import small_graphs
+from strategies import small_graphs
 
 LOOP = graph_of("", "l:v->v")
 
