@@ -14,15 +14,14 @@ from .sketches import (Footprint, PredicateSymbol, Sketch, SketchMorphism,
 from .conditions import (And, Bottom, Condition, Constraint, Exists, Forall,
                          Junction, Not, Or, Quantifier, Stmt, Top, Verdict,
                          check_constraint, conj, implication, is_closed,
-                         iter_violations, nuc, satisfies, statements_conj,
-                         stmt, uc, unguarded_exists, unguarded_forall,
-                         well_formed)
+                         iter_violations, satisfies, statements_conj, stmt,
+                         unguarded_exists, unguarded_forall, well_formed)
 from .translation import chosen_pushout, translate_condition
 from .deduction import (CertificationError, ConstrainedSketch, Rule,
                         RuleShapeError, apply_rule, conj_elim, conj_intro,
-                        cstr_translate, find_matches, modus_ponens,
+                        cstr_translate, find_matches, modus_ponens, nuc,
                         repair_to_fixpoint, rule_from_condition, skolemize,
-                        statement_to_constraint, universal_elim)
+                        statement_to_constraint, uc, universal_elim)
 from .ct import (CT_FOOTPRINT, colimit_condition, comp_stmt, cone_contexts,
                  final_stmt, limit_condition, monic_stmt, unfold)
 from .dsl import (Document, ParseError, ResolutionError, ValidationError,

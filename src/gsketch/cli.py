@@ -160,8 +160,6 @@ def _sketch_for_graph(doc: Document, graph, what: str) -> Sketch:
 
 
 def _span(doc: Document, names: List[str], cospan: bool):
-    if len(names) != 2:
-        raise InputError("expected exactly two morphism names")
     ms = [doc.lookup("morphism", name) for name in names]
     shared = "codomain" if cospan else "domain"
     a, b = ms
@@ -211,7 +209,6 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
     a step that does not apply is reported at its line.
     """
     store: dict = {}
-    state = ConstrainedSketch(sketch)
 
     def constraint(p):
         """Read the name of a deduced constraint."""
@@ -222,8 +219,7 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
         return store[name]
 
     def bind(name, k):
-        nonlocal state
-        state = state.with_constraint(k)
+        ConstrainedSketch(sketch, [k])  # certifies k on the working sketch
         store[name] = k
 
     def result_name(p):
@@ -243,7 +239,7 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
             if op == "assume":
                 cond = p.resolve("condition")
                 if p.accept("initial"):
-                    anchor = initial_morphism(state.sketch.context)
+                    anchor = initial_morphism(sketch.context)
                 else:
                     anchor = p.resolve("morphism")
                 bind(result_name(p), Constraint(cond, anchor))
@@ -262,8 +258,7 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
                 new_name = result_name(p)
                 # the working sketch changes; earlier certifications stay in
                 # the store but concern the pre-skolemization sketch
-                h, new, _ = skolemize(k, state.sketch)
-                state = ConstrainedSketch(h)
+                sketch, new, _ = skolemize(k, sketch)
                 bind(new_name, new)
             elif op == "intro":
                 parts = [constraint(p)]
@@ -285,10 +280,10 @@ def _run_deduce_script(doc: Document, sketch: Sketch, lines) -> dict:
                                              % name)
                     bind(name, part)
             elif op == "inst":
-                s = p.parse_statement(state.sketch.context)
+                s = p.parse_statement(sketch.context)
                 p.expect("def")
                 definition = p.resolve("condition")
-                if not state.sketch.holds(s.predicate, s.key):
+                if not sketch.holds(s.predicate, s.key):
                     raise InputError("statement is not in the sketch")
                 bind(result_name(p), statement_to_constraint(s, definition))
             else:

@@ -26,11 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Tuple
 
-from .category import initial_morphism
 from .graphs import (Graph, GraphMorphism, MismatchError, enumerate_extensions,
                      identity, iter_extensions)
-from .sketches import (Sketch, SketchMorphism, Statement, statement_key,
-                       translate_index, translate_key)
+from .sketches import Sketch, Statement, statement_key, translate_key
 
 
 class EvaluationBudgetExceeded(RuntimeError):
@@ -299,32 +297,6 @@ def _violations(t, g, c):
     for r in iter_extensions(c.shift, t):
         if not _eval(r, g, c.body, budget).holds:
             yield r
-
-
-def _conclusion(rule: SketchMorphism) -> Condition:
-    """The statements of R outside the image a(S1) of the premise, over R.
-    Where the premise holds at t, every r with a;r = t maps a(S1) onto
-    t(S1), which holds already, so only these are left to check."""
-    image, rhs = translate_index(rule.morphism, rule.dom.index), rule.cod
-    return statements_conj(rhs.context, [
-        s for s in rhs.statements if s.key not in image.get(s.predicate, ())])
-
-
-def uc(rule: SketchMorphism) -> Condition:
-    """Closed encoding of a positive universal constraint for a: L -> R."""
-    l = rule.dom
-    body = Exists(l.context, statements_conj(l.context, l.statements),
-                  rule.morphism, _conclusion(rule))
-    return unguarded_forall(initial_morphism(l.context), body)
-
-
-def nuc(rule: SketchMorphism) -> Condition:
-    """Closed encoding of a negative universal constraint for a: L -> R."""
-    l = rule.dom
-    inner = unguarded_exists(rule.morphism, _conclusion(rule))
-    body = implication(statements_conj(l.context, l.statements),
-                       Not(l.context, inner))
-    return unguarded_forall(initial_morphism(l.context), body)
 
 
 def is_closed(c: Condition) -> bool:

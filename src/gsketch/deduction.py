@@ -1,7 +1,9 @@
-"""Rule application by sketch pushout with negative application conditions,
-the repair loop, and the constraint deduction steps (universal elimination,
-modus ponens, Skolemization, conjunction rules, statement instantiation and
-constraint translation along sketch morphisms).
+"""Rules and their closed encodings as universal constraints (``uc`` for a
+positive one, which ``rule_from_condition`` decodes, and ``nuc`` for a
+negative one), rule application by sketch pushout with negative application
+conditions, the repair loop, and the constraint deduction steps (universal
+elimination, modus ponens, Skolemization, conjunction rules, statement
+instantiation and constraint translation along sketch morphisms).
 """
 from __future__ import annotations
 
@@ -10,9 +12,10 @@ from functools import cached_property
 from typing import Iterable
 
 from .category import initial_morphism
-from .conditions import (And, Condition, Constraint, Exists, Forall, Stmt,
-                         Top, check_constraint, conj, iter_violations,
-                         satisfies, statements_conj, uc, unguarded_exists)
+from .conditions import (And, Condition, Constraint, Exists, Forall, Not, Stmt,
+                         Top, check_constraint, conj, implication,
+                         iter_violations, satisfies, statements_conj,
+                         unguarded_exists, unguarded_forall)
 from .graphs import GraphMorphism, MismatchError, compose, identity
 from .sketches import (Sketch, SketchMorphism, Statement, sketch_pushout,
                        translate_index, unchecked)
@@ -57,6 +60,32 @@ class Rule(SketchMorphism):
         """``uc`` of the rule: its matches are the violations of this closed
         condition."""
         return uc(self)
+
+
+def _conclusion(rule: SketchMorphism) -> Condition:
+    """The statements of R outside the image a(S1) of the premise, over R.
+    Where the premise holds at t, every r with a;r = t maps a(S1) onto
+    t(S1), which holds already, so only these are left to check."""
+    image, rhs = translate_index(rule.morphism, rule.dom.index), rule.cod
+    return statements_conj(rhs.context, [
+        s for s in rhs.statements if s.key not in image.get(s.predicate, ())])
+
+
+def uc(rule: SketchMorphism) -> Condition:
+    """Closed encoding of a positive universal constraint for a: L -> R."""
+    l = rule.dom
+    body = Exists(l.context, statements_conj(l.context, l.statements),
+                  rule.morphism, _conclusion(rule))
+    return unguarded_forall(initial_morphism(l.context), body)
+
+
+def nuc(rule: SketchMorphism) -> Condition:
+    """Closed encoding of a negative universal constraint for a: L -> R."""
+    l = rule.dom
+    inner = unguarded_exists(rule.morphism, _conclusion(rule))
+    body = implication(statements_conj(l.context, l.statements),
+                       Not(l.context, inner))
+    return unguarded_forall(initial_morphism(l.context), body)
 
 
 def _statement_set(cond: Condition):

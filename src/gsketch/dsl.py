@@ -80,10 +80,9 @@ class ConstraintDecl:
                 "anchor does not start at the condition context")
 
     def resolve(self, target_context: Graph) -> Constraint:
+        """The constraint over ``target_context``, which a given anchor must
+        land in; the caller checks that, naming its sketch."""
         if self.anchor is not None:
-            if self.anchor.cod != target_context:
-                raise ResolutionError(
-                    "constraint anchor does not land in the target context")
             return Constraint(self.condition, self.anchor)
         return Constraint(self.condition, initial_morphism(target_context))
 
@@ -640,14 +639,10 @@ class _Printer:
         self.extra: List[str] = []
 
     def _fresh(self, hint, prefix):
-        if hint is not None and hint not in self.used_names:
-            name = hint
-        else:
+        name = hint
+        while name is None or name in self.used_names:
             self.counter += 1
             name = "%s_%d" % (prefix, self.counter)
-            while name in self.used_names:
-                self.counter += 1
-                name = "%s_%d" % (prefix, self.counter)
         self.used_names.add(name)
         return name
 
@@ -655,8 +650,7 @@ class _Printer:
         if g not in self.graph_names:
             name = self._fresh(self.graph_hints.get(g), "graph")
             self.graph_names[g] = name
-            self.extra.append("graph %s %s"
-                              % (_q(name), _braced(_declarations(g))))
+            self.extra.append(self.format_graph(name, g))
         return _q(self.graph_names[g])
 
     def morphism_name(self, m: GraphMorphism) -> str:
@@ -665,6 +659,9 @@ class _Printer:
             self.morphism_names[m] = name
             self.extra.append(self.format_morphism(name, m))
         return _q(self.morphism_names[m])
+
+    def format_graph(self, name: str, g: Graph) -> str:
+        return "graph %s %s" % (_q(name), _braced(_declarations(g)))
 
     def format_morphism(self, name: str, m: GraphMorphism) -> str:
         dom = self.graph_name(m.dom)
@@ -739,7 +736,7 @@ def print_document(doc: Document, printer: Optional[_Printer] = None) -> str:
         chunks.append(text)
 
     for name, g in doc.graphs.items():
-        emit("graph %s %s" % (_q(name), _braced(_declarations(g))))
+        emit(printer.format_graph(name, g))
     for name, fp in doc.footprints.items():
         emit(printer.format_footprint(name, fp))
     for name, m in doc.morphisms.items():

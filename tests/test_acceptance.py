@@ -6,19 +6,17 @@ to the usual pytest verdict.
 import contextlib
 import random
 
-import pytest
-
 from gsketch.category import initial_morphism
 from gsketch.category import PullbackResult, PushoutResult
 from gsketch.cli import main as cli_main
-from gsketch.conditions import (And, Constraint, Exists, Forall, Top,
-                                check_constraint, iter_violations, nuc,
-                                satisfies, statements_conj, uc)
+from gsketch.conditions import (Constraint, Exists, Forall, Top,
+                                check_constraint, iter_violations, satisfies,
+                                statements_conj)
 from gsketch.ct import COMP, MONIC, comp_stmt, limit_condition, monic_stmt
 from gsketch.deduction import (ConstrainedSketch, conj_elim, conj_intro,
-                               cstr_translate, modus_ponens,
+                               cstr_translate, modus_ponens, nuc,
                                repair_to_fixpoint, rule_from_condition,
-                               skolemize, statement_to_constraint,
+                               skolemize, statement_to_constraint, uc,
                                universal_elim)
 from gsketch.dsl import parse, print_document
 from gsketch.graphs import (enumerate_extensions, enumerate_morphisms,

@@ -6,16 +6,14 @@ import pytest
 from gsketch.category import initial_morphism
 from gsketch.conditions import (And, Bottom, Constraint, EvaluationBudgetExceeded,
                                 Exists, Forall, IllFormedConditionError, Not,
-                                Or, Stmt, Top, check_constraint, conj,
-                                implication, is_closed, iter_violations, nuc,
-                                satisfies, statements_conj, stmt, uc,
-                                unguarded_exists, unguarded_forall,
-                                well_formed)
-from gsketch.ct import (COMP, MONIC, colimit_condition, comp_stmt,
-                        limit_condition, monic_stmt)
-from gsketch.deduction import find_matches, rule_from_condition
-from gsketch.graphs import (compose, enumerate_morphisms, graph_of, identity,
-                            morphism_of)
+                                Or, Stmt, Top, check_constraint, implication,
+                                is_closed, iter_violations, satisfies,
+                                statements_conj, stmt, unguarded_exists,
+                                unguarded_forall, well_formed)
+from gsketch.ct import (COMP, MONIC, colimit_condition, limit_condition,
+                        monic_stmt)
+from gsketch.deduction import find_matches, nuc, rule_from_condition, uc
+from gsketch.graphs import enumerate_morphisms, graph_of, identity, morphism_of
 from gsketch.sketches import (Sketch, SketchMorphism, Statement,
                               is_sketch_morphism)
 from gsketch.oracles import conditions_equal_modulo_renaming

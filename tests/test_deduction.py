@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from gsketch import conditions, deduction, sketches
 from gsketch.category import initial_morphism
-from gsketch.conditions import (And, Constraint, Exists, Forall, Not, Top,
+from gsketch.conditions import (And, Constraint, Exists, Not, Top,
                                 check_constraint, implication,
                                 iter_violations, satisfies, stmt,
-                                statements_conj, uc, unguarded_exists,
+                                statements_conj, unguarded_exists,
                                 unguarded_forall, well_formed)
 from gsketch.ct import COMP, MONIC, comp_stmt, monic_stmt
 from gsketch.deduction import (CertificationError, ConstrainedSketch,
@@ -18,7 +18,7 @@ from gsketch.deduction import (CertificationError, ConstrainedSketch,
                                conj_elim, conj_intro, cstr_translate,
                                find_matches, modus_ponens,
                                repair_to_fixpoint, rule_from_condition,
-                               skolemize, statement_to_constraint,
+                               skolemize, statement_to_constraint, uc,
                                universal_elim)
 from gsketch.dsl import parse_files
 from gsketch.graphs import (compose, enumerate_extensions, enumerate_morphisms,
